@@ -267,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed for RAND (default 0)")
     p.add_argument("--spec-limit", type=int, default=100,
-                   help="max residual functions per SPECIALIZE (default 100)")
+                   help="max residuals of any one function within one "
+                        "SPECIALIZE (default 100)")
     p.add_argument("--strict-simplify", action="store_true",
                    help="disable the error-dropping multiply-by-zero "
                         "simplifications")
@@ -275,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="log specializer events to stderr, one JSON "
                         "object per line")
     p.add_argument("--repl", action="store_true",
-                   help="force the interactive prompt")
+                   help="accepted for clarity; the REPL runs whenever no "
+                        "--eval is given")
     args = p.parse_args(argv)
 
     options = dict(seed=args.seed, spec_limit=args.spec_limit,
@@ -306,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_value(v)
         return status
 
-    if args.repl or sys.stdin.isatty():
-        repl(wb)
-        return 0
-    # Piped input: treat as REPL commands without a prompt banner.
+    # Without --eval the REPL runs, reading piped input as commands too.
     repl(wb)
     return 0
 

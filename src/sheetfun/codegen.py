@@ -24,8 +24,6 @@ the CompiledFunction for ``dump-ir``.
 
 from __future__ import annotations
 
-import math
-
 from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
     Comparison, ErrorConst, Expr, FunctionCall, If, MakeClosure,
@@ -33,9 +31,10 @@ from .formula import (
     ValueConst,
 )
 from .values import (
-    ERROR_NAME, ERROR_VALUE, ArrayValue, ErrorValue, FunctionValue, Number,
-    Text, Value, error_nan, fconcat_values, fdiv, fneg, fpow, format_number,
-    from_double_or_nan, literal, make_number, to_double_or_nan,
+    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ArrayValue,
+    ErrorValue, FunctionValue, Number, Text, Value, choose_index, error_nan,
+    fconcat_values, format_number, from_double_or_nan, literal, make_number,
+    to_double_or_nan,
 )
 
 __all__ = ["CompiledFunction", "TailCall", "compile_function", "read_area",
@@ -245,16 +244,9 @@ def compile_to_double(e: Expr, cx: _Ctx):
         return _comparison_double(e, cx)
     if t is Arith1:
         s = compile_to_double(e.arg, cx)
-        if e.op == "-":
-            cx.emit("neg")
-            return lambda fr: fneg(s(fr))
-        cx.emit("not")
-        def step(fr):
-            d = s(fr)
-            if d != d:
-                return d
-            return 0.0 if d else 1.0
-        return step
+        cx.emit(_UNARY_NAMES[e.op])
+        f = UNARY_OPS[e.op]
+        return lambda fr: f(s(fr))
     if t is CachedExpr:
         return _cached_double(e, cx)
     if t is If or t is Choose or t is And or t is Or:
@@ -338,31 +330,14 @@ def _arith2_double(e: Arith2, cx: _Ctx):
         return lambda fr: to_double_or_nan(s(fr))
     s1 = compile_to_double(e.left, cx)
     s2 = compile_to_double(e.right, cx)
-    if op == "+":
-        cx.emit("add")
-        return lambda fr: s1(fr) + s2(fr)
-    if op == "-":
-        cx.emit("sub")
-        return lambda fr: s1(fr) - s2(fr)
-    if op == "*":
-        cx.emit("mul")
-        return lambda fr: s1(fr) * s2(fr)
-    if op == "/":
-        cx.emit("div")
-        return lambda fr: fdiv(s1(fr), s2(fr))
-    cx.emit("pow")
-    return lambda fr: fpow(s1(fr), s2(fr))
+    cx.emit(_BINARY_NAMES[op])
+    f = BINARY_OPS[op]
+    return lambda fr: f(s1(fr), s2(fr))
 
 
-_CMP_FUNCS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
+# IR mnemonics of the operators in ``values``.
+_BINARY_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+_UNARY_NAMES = {"-": "neg", "NOT": "not"}
 _CMP_NAMES = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le",
               ">": "gt", ">=": "ge"}
 
@@ -377,7 +352,7 @@ def _comparison_double(e: Comparison, cx: _Ctx):
     if t2:
         cx.emit("nantest")
     cx.emit(f"cmp {_CMP_NAMES[e.op]}")
-    cmp = _CMP_FUNCS[e.op]
+    cmp = COMPARE_OPS[e.op]
 
     def step(fr):
         d1 = s1(fr)
@@ -525,7 +500,7 @@ def _comparison_condition(e: Comparison, cx: _Ctx, gen_t, gen_f, gen_bad):
     s2 = compile_to_double(e.right, cx)
     if not _certainly_proper(e.right):
         cx.emit("nantest")
-    cmp = _CMP_FUNCS[e.op]
+    cmp = COMPARE_OPS[e.op]
     lf, lbad, lend = cx.label(), cx.label(), cx.label()
     cx.emit(f"cmp {_CMP_NAMES[e.op]}")
     cx.emit(f"brf {lf}")
@@ -734,14 +709,10 @@ def _choose_step(e: Choose, cx: _Ctx, compile_branch, bad_value):
         oob = bad_value
 
         def dispatch(fr):
-            d = load(fr)
-            try:
-                k = math.trunc(d)
-            except (OverflowError, ValueError):
+            k = choose_index(load(fr), n)
+            if k is None:
                 return oob
-            if 1 <= k <= n:
-                return steps[k - 1](fr)
-            return oob
+            return steps[k](fr)
         return dispatch
 
     def gen_bad():

@@ -7,8 +7,8 @@ false, everything else true).  Volatile functions (RAND, NOW) are
 re-evaluated once per recalculation, not once per reference.
 
 The interpreter here is the semantic reference: compiled function bodies
-must agree with it bit for bit, so both share the scalar helpers in
-``values``.
+must agree with it bit for bit, so both take every scalar operator from
+the one table in ``values`` and read areas through ``codegen.read_area``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 
-from . import peval, sdf
+from . import codegen, peval, sdf
 from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
     Comparison, ErrorConst, Expr, FormulaError, FunctionCall, If,
@@ -24,10 +24,10 @@ from .formula import (
     TextConst, ValueConst, parse_formula,
 )
 from .values import (
-    ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_NUM, ERROR_REF,
-    ERROR_VALUE, ArrayValue, ErrorValue, FunctionValue, Number, Text, Value,
-    error_nan, fconcat_values, fdiv, fneg, fnot, fpow, from_double_or_nan,
-    to_double_or_nan,
+    BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NAME,
+    ERROR_NUM, ERROR_REF, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
+    FunctionValue, Number, Text, Value, choose_index, error_nan,
+    fconcat_values, fdiv, from_double_or_nan, to_double_or_nan, truth,
 )
 
 __all__ = [
@@ -482,14 +482,6 @@ def parse_content(text: str):
 
 # --- the interpreter ---------------------------------------------------------
 
-def _condition(v: Value):
-    """Classify a value as a condition: True/False, or the error Value."""
-    d = to_double_or_nan(v)
-    if d != d:
-        return from_double_or_nan(d)
-    return d != 0.0
-
-
 def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     """Evaluate an expression tree at a cell address (the reference point
     for sheet-local references)."""
@@ -508,16 +500,16 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
             addr = addr.on(at.sheet)
         return wb.get_value(addr)
     if t is NormalCellArea:
-        return _eval_area(e, at, wb)
+        return codegen.read_area(wb, e.start, e.end, at.sheet)
     if t is Arith2:
         return _eval_arith2(e, at, wb)
     if t is Comparison:
         return _eval_comparison(e, at, wb)
     if t is Arith1:
         d = to_double_or_nan(eval_expr(e.arg, at, wb))
-        return from_double_or_nan(fneg(d) if e.op == "-" else fnot(d))
+        return from_double_or_nan(UNARY_OPS[e.op](d))
     if t is If:
-        c = _condition(eval_expr(e.cond, at, wb))
+        c = truth(eval_expr(e.cond, at, wb))
         if isinstance(c, Value):
             return c
         return eval_expr(e.then if c else e.other, at, wb)
@@ -526,7 +518,7 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     if t is And or t is Or:
         want = t is Or
         for a in e.args:
-            c = _condition(eval_expr(a, at, wb))
+            c = truth(eval_expr(a, at, wb))
             if isinstance(c, Value):
                 return c
             if c is want:
@@ -546,43 +538,13 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def _eval_area(e: NormalCellArea, at: CellAddr, wb: Workbook) -> Value:
-    sheet = e.start.sheet if e.start.sheet is not None else at.sheet
-    c1, c2 = sorted((e.start.col, e.end.col))
-    r1, r2 = sorted((e.start.row, e.end.row))
-    rows = []
-    for r in range(r1, r2 + 1):
-        rows.append([wb.get_value(CellAddr(sheet, c, r))
-                     for c in range(c1, c2 + 1)])
-    return ArrayValue(rows)
-
-
 def _eval_arith2(e: Arith2, at: CellAddr, wb: Workbook) -> Value:
+    a = eval_expr(e.left, at, wb)
+    b = eval_expr(e.right, at, wb)
     if e.op == "&":
-        return fconcat_values(eval_expr(e.left, at, wb),
-                              eval_expr(e.right, at, wb))
-    a = to_double_or_nan(eval_expr(e.left, at, wb))
-    b = to_double_or_nan(eval_expr(e.right, at, wb))
-    op = e.op
-    if op == "+":
-        return from_double_or_nan(a + b)
-    if op == "-":
-        return from_double_or_nan(a - b)
-    if op == "*":
-        return from_double_or_nan(a * b)
-    if op == "/":
-        return from_double_or_nan(fdiv(a, b))
-    return from_double_or_nan(fpow(a, b))
-
-
-_CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+        return fconcat_values(a, b)
+    return from_double_or_nan(BINARY_OPS[e.op](to_double_or_nan(a),
+                                               to_double_or_nan(b)))
 
 
 def _eval_comparison(e: Comparison, at: CellAddr, wb: Workbook) -> Value:
@@ -592,21 +554,17 @@ def _eval_comparison(e: Comparison, at: CellAddr, wb: Workbook) -> Value:
     b = to_double_or_nan(eval_expr(e.right, at, wb))
     if b != b:
         return from_double_or_nan(b)
-    return Number(1.0 if _CMP[e.op](a, b) else 0.0)
+    return Number(1.0 if COMPARE_OPS[e.op](a, b) else 0.0)
 
 
 def _eval_choose(e: Choose, at: CellAddr, wb: Workbook) -> Value:
-    v = eval_expr(e.index, at, wb)
-    d = to_double_or_nan(v)
+    d = to_double_or_nan(eval_expr(e.index, at, wb))
     if d != d:
         return from_double_or_nan(d)
-    try:
-        k = math.trunc(d)
-    except (OverflowError, ValueError):
+    k = choose_index(d, len(e.branches))
+    if k is None:
         return ERROR_VALUE
-    if 1 <= k <= len(e.branches):
-        return eval_expr(e.branches[k - 1], at, wb)
-    return ERROR_VALUE
+    return eval_expr(e.branches[k], at, wb)
 
 
 def _eval_call(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:

@@ -27,7 +27,8 @@ __all__ = [
     "Expr", "NumberConst", "TextConst", "ErrorConst", "ValueConst",
     "CellRef", "NormalCellRef", "NormalCellArea", "Arith1", "Arith2",
     "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
-    "If", "Choose", "And", "Or", "CachedExpr", "walk",
+    "If", "Choose", "And", "Or", "CachedExpr", "LEAF_TYPES", "children",
+    "map_children", "walk", "const_expr",
 ]
 
 
@@ -215,30 +216,70 @@ class CachedExpr(Expr):
     inner: Expr
 
 
+def _leaf(e):
+    return ()
+
+
+# Per node type: its children in order, and how to rebuild the node from
+# new children.  This table is the only place that knows a node's
+# children; every traversal goes through children() or map_children().
+_SHAPES = {
+    Arith1: (lambda e: (e.arg,), lambda e, c: Arith1(e.op, c[0])),
+    Arith2: (lambda e: (e.left, e.right), lambda e, c: Arith2(e.op, *c)),
+    Comparison: (lambda e: (e.left, e.right),
+                 lambda e, c: Comparison(e.op, *c)),
+    If: (lambda e: (e.cond, e.then, e.other), lambda e, c: If(*c)),
+    Choose: (lambda e: (e.index, *e.branches),
+             lambda e, c: Choose(c[0], c[1:])),
+    FunctionCall: (lambda e: e.args, lambda e, c: FunctionCall(e.name, c)),
+    SdfCall: (lambda e: e.args, lambda e, c: SdfCall(e.target, e.name, c)),
+    And: (lambda e: e.args, lambda e, c: And(c)),
+    Or: (lambda e: e.args, lambda e, c: Or(c)),
+    MakeClosure: (lambda e: (e.fn, *e.args),
+                  lambda e, c: MakeClosure(c[0], c[1:])),
+    Apply: (lambda e: (e.fn, *e.args), lambda e, c: Apply(c[0], c[1:])),
+    CachedExpr: (lambda e: (e.inner,), lambda e, c: CachedExpr(c[0])),
+}
+LEAF_TYPES = frozenset((NumberConst, TextConst, ErrorConst, ValueConst,
+                        CellRef, NormalCellRef, NormalCellArea))
+_SHAPES.update((t, (_leaf, None)) for t in LEAF_TYPES)
+
+
+def children(e: Expr) -> tuple:
+    """The direct subexpressions of a node, in evaluation order."""
+    return _SHAPES[type(e)][0](e)
+
+
+def map_children(e: Expr, f) -> Expr:
+    """The node with ``f`` applied to each child; ``e`` itself when every
+    child comes back unchanged."""
+    kids, rebuild = _SHAPES[type(e)]
+    if rebuild is None:
+        return e
+    old = kids(e)
+    new = tuple(f(c) for c in old)
+    for a, b in zip(old, new):
+        if a is not b:
+            return rebuild(e, new)
+    return e
+
+
 def walk(e: Expr):
     """Yield every node of the tree, preorder."""
     yield e
-    t = type(e)
-    if t in (Arith1, CachedExpr):
-        yield from walk(e.arg if t is Arith1 else e.inner)
-    elif t in (Arith2, Comparison):
-        yield from walk(e.left)
-        yield from walk(e.right)
-    elif t is If:
-        yield from walk(e.cond)
-        yield from walk(e.then)
-        yield from walk(e.other)
-    elif t is Choose:
-        yield from walk(e.index)
-        for b in e.branches:
-            yield from walk(b)
-    elif t in (FunctionCall, SdfCall, And, Or):
-        for a in e.args:
-            yield from walk(a)
-    elif t in (MakeClosure, Apply):
-        yield from walk(e.fn)
-        for a in e.args:
-            yield from walk(a)
+    for c in children(e):
+        yield from walk(c)
+
+
+def const_expr(v: Value) -> Expr:
+    """The constant node for a value."""
+    if type(v) is Number:
+        return NumberConst(v.value)
+    if type(v) is Text:
+        return TextConst(v.value)
+    if type(v) is ErrorValue:
+        return ErrorConst(v)
+    return ValueConst(v)
 
 
 # --- lexer -------------------------------------------------------------------

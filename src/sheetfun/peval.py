@@ -8,15 +8,16 @@ registered before the body is processed, so a recursive call with the
 same pattern becomes a call to the residual under construction.
 
 Static-only subterms are computed now, with the interpreter's exact
-semantics (shared scalar helpers, so results match bit for bit).  A call
-whose arguments are all partly known is specialized in turn; under
-dynamic control a recursive call is first generalized against the
-pattern currently being specialized, keeping a static argument only
-where its value is unchanged.  This cuts off unbounded unfolding of
-loops whose static state changes, while still letting statically
-reachable recursion unfold precisely.  Runaway chains (a recursion that
-never terminates on the given statics) hit a per-function budget; the
-whole attempt is then rolled back and the original closure returned.
+semantics (the operator table in ``values``, so results match bit for
+bit).  A call whose arguments are all partly known is specialized in
+turn; under dynamic control a recursive call is first generalized
+against the pattern currently being specialized, keeping a static
+argument only where its value is unchanged.  This cuts off unbounded
+unfolding of loops whose static state changes, while still letting
+statically reachable recursion unfold precisely.  Runaway chains (a
+recursion that never terminates on the given statics) hit a per-function
+budget; the whole attempt is then rolled back and the original closure
+returned.
 
 Residual bodies re-enter the normal pipeline (reachability, inlining,
 evaluation conditions, code generation), so cells whose evaluation
@@ -34,13 +35,13 @@ from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellRef, Choose, Comparison,
     ErrorConst, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
     NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
+    const_expr,
 )
-import math
-
 from .values import (
-    ERROR_NAME, ERROR_VALUE, ArrayValue, ErrorValue, FunctionValue, HOLE,
-    Number, Text, Value, display, fconcat_values, fdiv, fneg, fpow,
-    from_double_or_nan, make_number, to_double_or_nan, value_equal,
+    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ArrayValue,
+    ErrorValue, FunctionValue, HOLE, Number, Text, Value, choose_index,
+    display, fconcat_values, from_double_or_nan, make_number,
+    to_double_or_nan, truth,
 )
 
 __all__ = ["Specializer", "Static", "Dyn"]
@@ -78,16 +79,6 @@ class _SpecLimit(Exception):
         self.name = name
 
 
-def _expr_of(v: Value) -> Expr:
-    if type(v) is Number:
-        return NumberConst(v.value)
-    if type(v) is Text:
-        return TextConst(v.value)
-    if type(v) is ErrorValue:
-        return ErrorConst(v)
-    return ValueConst(v)
-
-
 def _const_value(e: Expr) -> Value | None:
     t = type(e)
     if t is NumberConst:
@@ -102,7 +93,7 @@ def _const_value(e: Expr) -> Value | None:
 
 
 def _expr_r(r) -> Expr:
-    return r.expr if type(r) is Dyn else _expr_of(r.value)
+    return r.expr if type(r) is Dyn else const_expr(r.value)
 
 
 def _vkey(v):
@@ -339,12 +330,8 @@ class Specializer:
     def _pe_arith1(self, e: Arith1, env, dyn):
         r = self._pe(e.arg, env, dyn)
         if type(r) is Static:
-            d = to_double_or_nan(r.value)
-            if e.op == "-":
-                return Static(from_double_or_nan(fneg(d)))
-            if d != d:
-                return Static(from_double_or_nan(d))
-            return Static(Number(0.0 if d else 1.0))
+            d = UNARY_OPS[e.op](to_double_or_nan(r.value))
+            return Static(from_double_or_nan(d))
         return Dyn(Arith1(e.op, r.expr))
 
     def _pe_arith2(self, e: Arith2, env, dyn):
@@ -354,18 +341,8 @@ class Specializer:
         if type(l) is Static and type(r) is Static:
             if op == "&":
                 return Static(fconcat_values(l.value, r.value))
-            da = to_double_or_nan(l.value)
-            db = to_double_or_nan(r.value)
-            if op == "+":
-                d = da + db
-            elif op == "-":
-                d = da - db
-            elif op == "*":
-                d = da * db
-            elif op == "/":
-                d = fdiv(da, db)
-            else:
-                d = fpow(da, db)
+            d = BINARY_OPS[op](to_double_or_nan(l.value),
+                               to_double_or_nan(r.value))
             return Static(from_double_or_nan(d))
         s = self._simplify(op, l, r)
         if s is not None:
@@ -389,7 +366,7 @@ class Specializer:
             if _is_zero(r):
                 return l
             if _is_zero(l):
-                return self._pe_neg(r)
+                return Dyn(Arith1("-", r.expr))   # r is dynamic here
         elif op == "*":
             if _is_one(r):
                 return l
@@ -409,11 +386,6 @@ class Specializer:
                 return Static(Number(1.0))    # pow(x, 0) is 1, even for NaN
         return None
 
-    def _pe_neg(self, r):
-        if type(r) is Static:
-            return Static(from_double_or_nan(fneg(to_double_or_nan(r.value))))
-        return Dyn(Arith1("-", r.expr))
-
     def _pe_comparison(self, e: Comparison, env, dyn):
         l = self._pe(e.left, env, dyn)
         r = self._pe(e.right, env, dyn)
@@ -424,21 +396,14 @@ class Specializer:
             db = to_double_or_nan(r.value)
             if db != db:
                 return Static(from_double_or_nan(db))
-            ok = codegen._CMP_FUNCS[e.op](da, db)
+            ok = COMPARE_OPS[e.op](da, db)
             return Static(Number(1.0 if ok else 0.0))
         return Dyn(Comparison(e.op, _expr_r(l), _expr_r(r)))
-
-    def _truth(self, v: Value):
-        """Condition on a static value: True/False or an error Value."""
-        d = to_double_or_nan(v)
-        if d != d:
-            return from_double_or_nan(d)
-        return d != 0.0
 
     def _pe_if(self, e: If, env, dyn):
         c = self._pe(e.cond, env, dyn)
         if type(c) is Static:
-            tr = self._truth(c.value)
+            tr = truth(c.value)
             if isinstance(tr, Value):
                 return Static(tr)
             return self._pe(e.then if tr else e.other, env, dyn)
@@ -452,13 +417,10 @@ class Specializer:
             d = to_double_or_nan(c.value)
             if d != d:
                 return Static(from_double_or_nan(d))
-            try:
-                k = math.trunc(d)
-            except (OverflowError, ValueError):
+            k = choose_index(d, len(e.branches))
+            if k is None:
                 return Static(ERROR_VALUE)
-            if not 1 <= k <= len(e.branches):
-                return Static(ERROR_VALUE)
-            return self._pe(e.branches[k - 1], env, dyn)
+            return self._pe(e.branches[k], env, dyn)
         branches = tuple(_expr_r(self._pe(b, env, True)) for b in e.branches)
         return Dyn(Choose(c.expr, branches))
 
@@ -470,7 +432,7 @@ class Specializer:
         for a in e.args:
             r = self._pe(a, env, under)
             if type(r) is Static:
-                tr = self._truth(r.value)
+                tr = truth(r.value)
                 if isinstance(tr, Value):
                     if not residual:
                         return Static(tr)
@@ -492,15 +454,11 @@ class Specializer:
         return Dyn(make(tuple(residual)))
 
     def _pe_builtin(self, e: FunctionCall, env, dyn):
+        # A name unknown when defined is kept as a call.
         b = self.wb.registry.get(e.name)
-        if b is None:
-            # Unknown when defined, resolved late through the registry at
-            # run time only for interpretation; keep the call.
-            reduced = [self._pe(a, env, dyn) for a in e.args]
-            return Dyn(FunctionCall(e.name, tuple(_expr_r(r)
-                                                  for r in reduced)))
         reduced = [self._pe(a, env, dyn) for a in e.args]
-        if b.pure and all(type(r) is Static for r in reduced):
+        if b is not None and b.pure and all(type(r) is Static
+                                            for r in reduced):
             return Static(b.invoke([r.value for r in reduced], self.wb))
         return Dyn(FunctionCall(e.name, tuple(_expr_r(r) for r in reduced)))
 
@@ -555,7 +513,7 @@ class Specializer:
                 # Generalize against the specialization in progress: keep
                 # a static only where its value is unchanged.
                 gen = [p if (p is not HOLE and a is not HOLE
-                             and value_equal(p, a)) else HOLE
+                             and p == a) else HOLE
                        for p, a in zip(pattern, act)]
                 if self.trace is not None and gen != pattern:
                     self._emit("generalize", info.name, _pattern_text(gen),

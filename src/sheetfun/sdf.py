@@ -27,14 +27,14 @@ from collections import Counter
 
 from . import codegen
 from .formula import (
-    And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
-    Comparison, ErrorConst, Expr, FunctionCall, If, MakeClosure,
-    NormalCellArea, NormalCellRef, NumberConst, Or, SdfCall, TextConst,
-    ValueConst, walk,
+    LEAF_TYPES, And, Arith1, CachedExpr, CellAddr, CellRef, Choose,
+    Comparison, ErrorConst, Expr, FunctionCall, If, NormalCellArea,
+    NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
+    children, const_expr, map_children, walk,
 )
 from .values import (
     ERROR_NA, ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE,
-    Number, Text, Value,
+    Text, Value,
 )
 
 __all__ = ["ComputeCell", "SdfInfo", "FunctionTable", "DefineError",
@@ -156,14 +156,10 @@ class FunctionTable:
             captured = [HOLE if v is ERROR_NA else v for v in argv]
             return FunctionValue(fn_id, info.name, captured)
         if type(fnv) is FunctionValue:
-            if len(argv) != fnv.arity:
+            merged = self.merge_args(
+                fnv, [HOLE if v is ERROR_NA else v for v in argv])
+            if merged is None:
                 return ERROR_VALUE
-            merged = list(fnv.captured)
-            it = iter(argv)
-            for i, c in enumerate(merged):
-                if c is HOLE:
-                    v = next(it)
-                    merged[i] = HOLE if v is ERROR_NA else v
             return FunctionValue(fnv.target, fnv.name, merged)
         if type(fnv) is ErrorValue:
             return fnv
@@ -212,7 +208,7 @@ def define(wb, name: str, out: CellAddr, ins: list[CellAddr]) -> SdfInfo:
             return NumberConst(0.0)
         content = cell.content
         if isinstance(content, Value):
-            return _const_expr(content)
+            return const_expr(content)
         return _resolve(content, sheet.name, table, wb.registry)
 
     try:
@@ -227,16 +223,6 @@ def define(wb, name: str, out: CellAddr, ins: list[CellAddr]) -> SdfInfo:
     table.install(info)
     wb.specializer.invalidate(fn_id)
     return info
-
-
-def _const_expr(v: Value) -> Expr:
-    if type(v) is Number:
-        return NumberConst(v.value)
-    if type(v) is Text:
-        return TextConst(v.value)
-    if type(v) is ErrorValue:
-        return ErrorConst(v)
-    return ValueConst(v)
 
 
 def _resolve(e: Expr, fsheet: str, table: FunctionTable, registry) -> Expr:
@@ -255,51 +241,12 @@ def _resolve(e: Expr, fsheet: str, table: FunctionTable, registry) -> Expr:
                 "cell areas on the function sheet are not supported "
                 "in function bodies")
         return e
-    if t is FunctionCall:
-        args = tuple(_resolve(a, fsheet, table, registry) for a in e.args)
-        if registry.get(e.name) is not None:
-            return FunctionCall(e.name, args)
+    e = map_children(e, lambda c: _resolve(c, fsheet, table, registry))
+    if t is FunctionCall and registry.get(e.name) is None:
         fn_id = table.lookup_name(e.name)
         if fn_id is not None:
-            return SdfCall(fn_id, canonical_name(e.name), args)
-        return FunctionCall(e.name, args)
-    if t in (NumberConst, TextConst, ErrorConst, ValueConst):
-        return e
-    if t is Arith1:
-        return Arith1(e.op, _resolve(e.arg, fsheet, table, registry))
-    if t is Arith2:
-        return Arith2(e.op, _resolve(e.left, fsheet, table, registry),
-                      _resolve(e.right, fsheet, table, registry))
-    if t is Comparison:
-        return Comparison(e.op, _resolve(e.left, fsheet, table, registry),
-                          _resolve(e.right, fsheet, table, registry))
-    if t is If:
-        return If(_resolve(e.cond, fsheet, table, registry),
-                  _resolve(e.then, fsheet, table, registry),
-                  _resolve(e.other, fsheet, table, registry))
-    if t is Choose:
-        return Choose(_resolve(e.index, fsheet, table, registry),
-                      tuple(_resolve(b, fsheet, table, registry)
-                            for b in e.branches))
-    if t is And:
-        return And(tuple(_resolve(a, fsheet, table, registry) for a in e.args))
-    if t is Or:
-        return Or(tuple(_resolve(a, fsheet, table, registry) for a in e.args))
-    if t is SdfCall:
-        return SdfCall(e.target, e.name,
-                       tuple(_resolve(a, fsheet, table, registry)
-                             for a in e.args))
-    if t is MakeClosure:
-        return MakeClosure(_resolve(e.fn, fsheet, table, registry),
-                           tuple(_resolve(a, fsheet, table, registry)
-                                 for a in e.args))
-    if t is Apply:
-        return Apply(_resolve(e.fn, fsheet, table, registry),
-                     tuple(_resolve(a, fsheet, table, registry)
-                           for a in e.args))
-    if t is CachedExpr:
-        return CachedExpr(_resolve(e.inner, fsheet, table, registry))
-    raise DefineError(f"unsupported expression in body: {e!r}")
+            return SdfCall(fn_id, canonical_name(e.name), e.args)
+    return e
 
 
 # --- body assembly (pipeline steps 1-4) -------------------------------------
@@ -355,46 +302,9 @@ def build_body(load, out_key, input_keys: set, inline: bool = True):
 
 def _substitute(e: Expr, key, repl: Expr) -> Expr:
     """Replace the (single) CellRef to ``key`` with ``repl``."""
-    t = type(e)
-    if t is CellRef:
+    if type(e) is CellRef:
         return repl if (e.addr.col, e.addr.row) == key else e
-    if t in (NumberConst, TextConst, ErrorConst, ValueConst, NormalCellRef,
-             NormalCellArea):
-        return e
-    if t is Arith1:
-        return Arith1(e.op, _substitute(e.arg, key, repl))
-    if t is Arith2:
-        return Arith2(e.op, _substitute(e.left, key, repl),
-                      _substitute(e.right, key, repl))
-    if t is Comparison:
-        return Comparison(e.op, _substitute(e.left, key, repl),
-                          _substitute(e.right, key, repl))
-    if t is If:
-        return If(_substitute(e.cond, key, repl),
-                  _substitute(e.then, key, repl),
-                  _substitute(e.other, key, repl))
-    if t is Choose:
-        return Choose(_substitute(e.index, key, repl),
-                      tuple(_substitute(b, key, repl) for b in e.branches))
-    if t is And:
-        return And(tuple(_substitute(a, key, repl) for a in e.args))
-    if t is Or:
-        return Or(tuple(_substitute(a, key, repl) for a in e.args))
-    if t is FunctionCall:
-        return FunctionCall(e.name, tuple(_substitute(a, key, repl)
-                                          for a in e.args))
-    if t is SdfCall:
-        return SdfCall(e.target, e.name, tuple(_substitute(a, key, repl)
-                                               for a in e.args))
-    if t is MakeClosure:
-        return MakeClosure(_substitute(e.fn, key, repl),
-                           tuple(_substitute(a, key, repl) for a in e.args))
-    if t is Apply:
-        return Apply(_substitute(e.fn, key, repl),
-                     tuple(_substitute(a, key, repl) for a in e.args))
-    if t is CachedExpr:
-        return CachedExpr(_substitute(e.inner, key, repl))
-    raise AssertionError(repr(e))
+    return map_children(e, lambda c: _substitute(c, key, repl))
 
 
 def _inline_single_use(cellmap, order, out_key, input_keys) -> None:
@@ -428,59 +338,12 @@ def _is_trivial(e: Expr) -> bool:
 def _rebuild_with_wraps(e: Expr, need: set, nodemap: dict) -> Expr:
     """Rebuild a tree, wrapping nodes whose id is in ``need`` in CachedExpr.
     ``nodemap`` maps old node ids to the rebuilt (possibly wrapped) nodes
-    so condition literals can point at the shared objects."""
-    old_id = id(e)
-    t = type(e)
-    if t in (NumberConst, TextConst, ErrorConst, ValueConst, NormalCellRef,
-             NormalCellArea, CellRef):
-        nodemap[old_id] = e
-        return e
-    if t is CachedExpr:
-        inner = _rebuild_with_wraps(e.inner, need, nodemap)
-        new = e if inner is e.inner else CachedExpr(inner)
-        nodemap[old_id] = new
-        return new
-    if t is Arith1:
-        new = Arith1(e.op, _rebuild_with_wraps(e.arg, need, nodemap))
-    elif t is Arith2:
-        new = Arith2(e.op, _rebuild_with_wraps(e.left, need, nodemap),
-                     _rebuild_with_wraps(e.right, need, nodemap))
-    elif t is Comparison:
-        new = Comparison(e.op, _rebuild_with_wraps(e.left, need, nodemap),
-                         _rebuild_with_wraps(e.right, need, nodemap))
-    elif t is If:
-        new = If(_rebuild_with_wraps(e.cond, need, nodemap),
-                 _rebuild_with_wraps(e.then, need, nodemap),
-                 _rebuild_with_wraps(e.other, need, nodemap))
-    elif t is Choose:
-        new = Choose(_rebuild_with_wraps(e.index, need, nodemap),
-                     tuple(_rebuild_with_wraps(b, need, nodemap)
-                           for b in e.branches))
-    elif t is And:
-        new = And(tuple(_rebuild_with_wraps(a, need, nodemap)
-                        for a in e.args))
-    elif t is Or:
-        new = Or(tuple(_rebuild_with_wraps(a, need, nodemap) for a in e.args))
-    elif t is FunctionCall:
-        new = FunctionCall(e.name, tuple(_rebuild_with_wraps(a, need, nodemap)
-                                         for a in e.args))
-    elif t is SdfCall:
-        new = SdfCall(e.target, e.name,
-                      tuple(_rebuild_with_wraps(a, need, nodemap)
-                            for a in e.args))
-    elif t is MakeClosure:
-        new = MakeClosure(_rebuild_with_wraps(e.fn, need, nodemap),
-                          tuple(_rebuild_with_wraps(a, need, nodemap)
-                                for a in e.args))
-    elif t is Apply:
-        new = Apply(_rebuild_with_wraps(e.fn, need, nodemap),
-                    tuple(_rebuild_with_wraps(a, need, nodemap)
-                          for a in e.args))
-    else:
-        raise AssertionError(repr(e))
-    if old_id in need:
+    so condition literals can point at the shared objects.  Leaves are
+    never wrapped, and ``need`` holds no CachedExpr (they are trivial)."""
+    new = map_children(e, lambda c: _rebuild_with_wraps(c, need, nodemap))
+    if id(e) in need and type(e) not in LEAF_TYPES:
         new = CachedExpr(new)
-    nodemap[old_id] = new
+    nodemap[id(e)] = new
     return new
 
 
@@ -521,23 +384,8 @@ def _collect_sites(e: Expr, path: list, sites: dict) -> None:
             _collect_sites(a, path, sites)
             del path[len(path) - len(extra):]
         return
-    if t is Arith1 or t is CachedExpr:
-        _collect_sites(e.arg if t is Arith1 else e.inner, path, sites)
-        return
-    if t in (Arith2, Comparison):
-        _collect_sites(e.left, path, sites)
-        _collect_sites(e.right, path, sites)
-        return
-    if t in (FunctionCall, SdfCall):
-        for a in e.args:
-            _collect_sites(a, path, sites)
-        return
-    if t in (MakeClosure, Apply):
-        _collect_sites(e.fn, path, sites)
-        for a in e.args:
-            _collect_sites(a, path, sites)
-        return
-    # constants and plain references: nothing to do
+    for c in children(e):
+        _collect_sites(c, path, sites)
 
 
 def _literal_expr(lit, nodemap) -> Expr:

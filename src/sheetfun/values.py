@@ -4,6 +4,11 @@ Every value the engine manipulates is one of Number, Text, ErrorValue,
 ArrayValue or FunctionValue.  Values are immutable and compared
 structurally.
 
+The scalar operators are defined here once, in ``BINARY_OPS``,
+``COMPARE_OPS``, ``UNARY_OPS``, ``truth`` and ``choose_index``; the
+interpreter, compiled code and the specializer's folds all take them
+from here, so their results agree bit for bit by construction.
+
 Numbers travel through compiled code as raw Python floats.  Errors are
 encoded as quiet NaNs carrying the error's registry index in the low 32
 bits, so hardware arithmetic propagates them with no explicit checks:
@@ -15,14 +20,16 @@ to the canonical #NUM! error.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 
 __all__ = [
     "Value", "Number", "Text", "ErrorValue", "ArrayValue", "FunctionValue",
     "HOLE", "make_number", "set_box_hook",
-    "to_double_or_nan", "from_double_or_nan", "error_nan", "is_error_nan",
-    "value_equal", "display", "literal", "format_number",
+    "to_double_or_nan", "from_double_or_nan", "error_nan",
+    "display", "literal", "format_number",
     "fdiv", "fpow", "fneg", "fnot", "fconcat_values",
+    "BINARY_OPS", "COMPARE_OPS", "UNARY_OPS", "truth", "choose_index",
     "ERROR_NA", "ERROR_DIV0", "ERROR_VALUE", "ERROR_NUM", "ERROR_NAME",
     "ERROR_REF", "ERROR_CYCLE",
 ]
@@ -167,10 +174,6 @@ def error_nan(e: ErrorValue) -> float:
     return e._nan
 
 
-def is_error_nan(d: float) -> bool:
-    return d != d
-
-
 class ArrayValue(Value):
     """A rectangular array; ``rows`` is a tuple of equal-length tuples."""
 
@@ -294,13 +297,6 @@ def from_double_or_nan(d: float) -> Value:
     return ERROR_NUM
 
 
-# --- structural equality -----------------------------------------------------
-
-def value_equal(a: Value, b: Value) -> bool:
-    """Structural equality used by caches and tests (NaN-free numbers)."""
-    return a == b
-
-
 # --- display -----------------------------------------------------------------
 
 def format_number(d: float) -> str:
@@ -344,9 +340,10 @@ def display(v) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
-# --- scalar arithmetic helpers ----------------------------------------------
+# --- scalar operators --------------------------------------------------------
 # All execution paths (interpreter, compiled code, constant folding) go
-# through these, so results agree bit for bit.
+# through these, so results agree bit for bit.  The double operators take
+# and return raw doubles with errors as NaNs.
 
 def fdiv(a: float, b: float) -> float:
     if b:
@@ -378,6 +375,34 @@ def fnot(a: float) -> float:
     if a != a:
         return a
     return 0.0 if a else 1.0
+
+
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": fdiv, "^": fpow}
+
+# On proper (non-NaN) doubles; the caller passes an error operand through.
+COMPARE_OPS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+UNARY_OPS = {"-": fneg, "NOT": fnot}
+
+
+def truth(v: Value):
+    """Classify a value as a condition: True/False, or the error Value."""
+    d = to_double_or_nan(v)
+    if d != d:
+        return from_double_or_nan(d)
+    return d != 0.0
+
+
+def choose_index(d: float, n: int) -> int | None:
+    """The 0-based branch a proper double selects among ``n`` CHOOSE
+    branches (the selector is truncated), or None when out of range."""
+    try:
+        k = math.trunc(d)
+    except (OverflowError, ValueError):
+        return None
+    return k - 1 if 1 <= k <= n else None
 
 
 def fconcat_values(a: Value, b: Value) -> Value:

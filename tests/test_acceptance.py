@@ -325,8 +325,20 @@ def test_criterion_6_divergent_specialization_backs_off():
                   f"on 0..10")
 
 
-def bench_min(w, fv, count, rounds=5):
-    return min(benchmark(w, fv, count) for _ in range(rounds))
+def bench_min(w, fvs, count, rounds=5, slices=10):
+    """Per-closure minimum over ``rounds`` of the mean ns/call on ``count``
+    calls.  Each round times every closure in turn, ``slices`` times on
+    ``count // slices`` calls, so a drift in machine speed (its phases
+    last about as long as one whole measurement) hits all of them alike
+    instead of whichever happened to run during it."""
+    best = [math.inf] * len(fvs)
+    for _ in range(rounds):
+        total = [0.0] * len(fvs)
+        for _ in range(slices):
+            for i, fv in enumerate(fvs):
+                total[i] += benchmark(w, fv, count // slices)
+        best = [min(b, t / slices) for b, t in zip(best, total)]
+    return best
 
 
 def test_criterion_7_specialization_pays_off():
@@ -334,8 +346,7 @@ def test_criterion_7_specialization_pays_off():
     orig0 = w.eval_formula('=CLOSURE("REPT4", "abc", 7)', "S")
     res = spec(w, '=SPECIALIZE(CLOSURE("REPT4", #NA, 7))')
     res0 = w.function_table.make_closure(res, [Text("abc")])
-    t_orig = bench_min(w, orig0, 20000)
-    t_spec = bench_min(w, res0, 20000)
+    t_orig, t_spec = bench_min(w, [orig0, res0], 20000)
     ratio = t_orig / t_spec
 
     # Fixing one ADD3 argument at a time: each stage does less work at
@@ -347,11 +358,12 @@ def test_criterion_7_specialization_pays_off():
     s2 = w2.specializer.specialize(
         table.make_closure(s1, [Number(22.0), ERROR_NA]))
     s3 = w2.specializer.specialize(table.make_closure(s2, [Number(33.0)]))
-    b0 = bench_min(w2, full, 50000)
-    b1 = bench_min(w2, table.make_closure(s1, [Number(22.0), Number(33.0)]),
-                   50000)
-    b2 = bench_min(w2, table.make_closure(s2, [Number(33.0)]), 50000)
-    b3 = bench_min(w2, s3, 50000)
+    b0, b1, b2, b3 = bench_min(w2, [
+        full,
+        table.make_closure(s1, [Number(22.0), Number(33.0)]),
+        table.make_closure(s2, [Number(33.0)]),
+        s3,
+    ], 50000)
     stages_ok = (b1 <= 1.10 * b0 and b2 <= 1.10 * b1 and b3 <= 1.10 * b2)
 
     ok = ratio >= 1.2 and stages_ok

@@ -1,0 +1,180 @@
+"""One definition of each operator and of each node's children.
+
+The scalar operators live in ``values`` and every execution path takes
+them from there; these tests hold the interpreter, a compiled body with
+all arguments dynamic, and an all-static SPECIALIZE to the same result on
+a pool of awkward operands.  The child maps of ``formula`` are checked
+over every node type.
+"""
+
+import dataclasses
+import math
+import struct
+
+import pytest
+
+from sheetfun import CellAddr, Number, Text
+from sheetfun.engine import eval_expr
+from sheetfun.formula import (
+    And, Apply, Arith1, Arith2, CachedExpr, CellRef, Choose, Comparison,
+    ErrorConst, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
+    NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
+    children, map_children, walk,
+)
+from sheetfun.values import (
+    BINARY_OPS, COMPARE_OPS, ERROR_DIV0, ERROR_NA, UNARY_OPS, ErrorValue,
+    FunctionValue,
+)
+
+from conftest import make_wb
+
+POOL = [Number(0.0), Number(-0.0), Number(0.5), Number(1.0), Number(-2.5),
+        Number(3.0), Number(math.inf), Number(-math.inf), Number(1e308),
+        Text("abc"), Text(""), ERROR_NA, ERROR_DIV0,
+        ErrorValue.intern("#ERR:x")]
+
+BINARY = sorted(BINARY_OPS) + ["&"]
+COMPARE = sorted(COMPARE_OPS)
+
+
+def same(a, b) -> bool:
+    """Equal values; Numbers compared by bit pattern (signed zero too)."""
+    if type(a) is Number and type(b) is Number:
+        return struct.pack("<d", a.value) == struct.pack("<d", b.value)
+    return a == b
+
+
+def three_paths(body: str, operands, make_node):
+    """Results of the interpreter, the compiled function with every
+    argument dynamic, and an all-static SPECIALIZE, per operand tuple."""
+    ins = [f"B{i + 1}" for i in range(len(operands[0]))]
+    out = f"B{len(ins) + 1}"
+    cells = {a: "0" for a in ins}
+    cells[out] = body
+    cells[f"B{len(ins) + 2}"] = f'=DEFINE("F", {out}, {", ".join(ins)})'
+    w = make_wb(cells)
+    table = w.function_table
+    target = table.lookup_name("F")
+    at = CellAddr("S", 1, 1)
+    for args in operands:
+        interp = eval_expr(make_node(*[ValueConst(a) for a in args]), at, w)
+        compiled = table.call(target, list(args), w)
+        res = w.specializer.specialize(FunctionValue(target, "F", args))
+        assert res.target != target, "nothing was specialized"
+        static = table.apply(res, [], w)
+        yield args, interp, compiled, static
+
+
+def mismatches(body, operands, make_node):
+    return [(args, interp, compiled, static)
+            for args, interp, compiled, static
+            in three_paths(body, operands, make_node)
+            if not (same(interp, compiled) and same(interp, static))]
+
+
+PAIRS = [(a, b) for a in POOL for b in POOL]
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_binary_operator_agrees_on_every_path(op):
+    bad = mismatches(f"=B1{op}B2", PAIRS,
+                     lambda l, r: Arith2(op, l, r))
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("op", COMPARE)
+def test_comparison_agrees_on_every_path(op):
+    bad = mismatches(f"=B1{op}B2", PAIRS,
+                     lambda l, r: Comparison(op, l, r))
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("op", sorted(UNARY_OPS))
+def test_unary_operator_agrees_on_every_path(op):
+    body = "=-B1" if op == "-" else "=NOT(B1)"
+    bad = mismatches(body, [(a,) for a in POOL],
+                     lambda a: Arith1(op, a))
+    assert not bad, bad[:5]
+
+
+def test_choose_index_agrees_on_every_path():
+    branches = tuple(NumberConst(float(10 * k)) for k in (1, 2, 3))
+    bad = mismatches("=CHOOSE(B1, 10, 20, 30)", [(a,) for a in POOL],
+                     lambda i: Choose(i, branches))
+    assert not bad, bad[:5]
+
+
+# --- child maps -----------------------------------------------------------
+
+A, B, C = NumberConst(1.0), TextConst("t"), CellRef(CellAddr(None, 2, 3))
+AT = CellAddr("D", 1, 1)
+
+SAMPLES = {
+    NumberConst: A,
+    TextConst: B,
+    ErrorConst: ErrorConst(ERROR_NA),
+    ValueConst: ValueConst(Number(4.0)),
+    CellRef: C,
+    NormalCellRef: NormalCellRef(AT),
+    NormalCellArea: NormalCellArea(AT, CellAddr("D", 2, 2)),
+    Arith1: Arith1("-", A),
+    Arith2: Arith2("+", A, C),
+    Comparison: Comparison("<", A, C),
+    FunctionCall: FunctionCall("SUM", (A, B, C)),
+    SdfCall: SdfCall(7, "G", (A, C)),
+    MakeClosure: MakeClosure(B, (A, C)),
+    Apply: Apply(C, (A, B)),
+    If: If(A, B, C),
+    Choose: Choose(A, (B, C)),
+    And: And((A, C)),
+    Or: Or((C, A)),
+    CachedExpr: CachedExpr(Arith1("-", C)),
+}
+
+
+def test_samples_cover_every_node_type():
+    assert set(SAMPLES) == set(Expr.__subclasses__())
+
+
+def non_child_fields(e):
+    kids = set(map(id, children(e)))
+    out = []
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if id(v) in kids:
+            continue
+        if type(v) is tuple and v and all(id(x) in kids for x in v):
+            continue
+        out.append((f.name, v))
+    return out
+
+
+@pytest.mark.parametrize("t", list(SAMPLES), ids=lambda t: t.__name__)
+def test_map_children_identity_returns_the_same_node(t):
+    e = SAMPLES[t]
+    assert map_children(e, lambda c: c) is e
+
+
+@pytest.mark.parametrize("t", list(SAMPLES), ids=lambda t: t.__name__)
+def test_map_children_replacement_keeps_type_and_fields(t):
+    e = SAMPLES[t]
+    made = []
+
+    def fresh(c):
+        made.append(NumberConst(float(len(made))))
+        return made[-1]
+    new = map_children(e, fresh)
+    assert type(new) is t
+    assert len(made) == len(children(e))
+    assert len(children(new)) == len(made)
+    assert all(c is m for c, m in zip(children(new), made))
+    assert non_child_fields(new) == non_child_fields(e)
+
+
+def test_walk_is_preorder():
+    inner = Arith2("*", C, B)
+    tree = If(Comparison("=", A, inner), CachedExpr(C), Or((B, A)))
+    got = list(walk(tree))
+    want = [tree, tree.cond, A, inner, C, B, tree.then, C, tree.other, B, A]
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))

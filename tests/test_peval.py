@@ -317,6 +317,23 @@ def test_budget_rolls_back_and_keeps_the_original():
     assert apply(w, ok) == Number(6.0)
 
 
+def test_budget_counts_residuals_per_function():
+    # The limit bounds the residuals of each function within one
+    # SPECIALIZE, not their total: G and the ADD it calls get one each.
+    w = make_wb({
+        "B1": "0", "B2": "0", "B3": "=B1+B2",
+        "B4": '=DEFINE("ADD", B3, B1, B2)',
+        "C1": "0", "C2": "0", "C3": "=ADD(C1, C2)*2",
+        "C4": '=DEFINE("G", C3, C1, C2)',
+    }, spec_limit=1)
+    count = fn_count(w)
+    fv = spec(w, '=SPECIALIZE(CLOSURE("G", #NA, 1))')
+    assert fv.target != w.function_table.lookup_name("G")
+    assert fn_count(w) == count + 2
+    assert not w.diagnostics
+    assert apply(w, fv, 4) == Number(10.0)
+
+
 def test_trace_hook_reports_each_residual():
     w = make_wb(MONTHLEN_CELLS)
     events = []

@@ -11,7 +11,6 @@ from sheetfun.values import (
     ERROR_VALUE, ArrayValue, ErrorValue, FunctionValue, HOLE, Number, Text,
     display, error_nan, fconcat_values, fdiv, fneg, fpow, format_number,
     from_double_or_nan, literal, make_number, set_box_hook, to_double_or_nan,
-    value_equal,
 )
 
 SEVEN = [ERROR_NA, ERROR_DIV0, ERROR_VALUE, ERROR_NUM, ERROR_NAME,
@@ -149,14 +148,14 @@ def test_concat():
 
 
 def test_value_equal():
-    assert value_equal(Number(1.0), Number(1.0))
-    assert not value_equal(Number(1.0), Number(2.0))
-    assert not value_equal(Number(1.0), Text("1"))
-    assert value_equal(ERROR_NA, ERROR_NA)
+    assert Number(1.0) == Number(1.0)
+    assert not Number(1.0) == Number(2.0)
+    assert not Number(1.0) == Text("1")
+    assert ERROR_NA == ERROR_NA
     f1 = FunctionValue(3, "F", [Number(1.0), HOLE])
     f2 = FunctionValue(3, "F", [Number(1.0), HOLE])
-    assert value_equal(f1, f2)
-    assert not value_equal(f1, FunctionValue(3, "F", [Number(2.0), HOLE]))
+    assert f1 == f2
+    assert not f1 == FunctionValue(3, "F", [Number(2.0), HOLE])
 
 
 def test_format_number():
