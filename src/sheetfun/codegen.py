@@ -259,14 +259,16 @@ def compile_to_double(e: Expr, cx: _Ctx):
             cx.emit(f"calld {e.name} {len(sub)}")
             dfunc = b.dfunc
             if not sub:
-                return lambda fr: dfunc(fr.rt)
-            if len(sub) == 1:
+                step = lambda fr: dfunc(fr.rt)
+            elif len(sub) == 1:
                 s0, = sub
-                return lambda fr: dfunc(fr.rt, s0(fr))
-            if len(sub) == 2:
+                step = lambda fr: dfunc(fr.rt, s0(fr))
+            elif len(sub) == 2:
                 s0, s1 = sub
-                return lambda fr: dfunc(fr.rt, s0(fr), s1(fr))
-            return lambda fr: dfunc(fr.rt, *[s(fr) for s in sub])
+                step = lambda fr: dfunc(fr.rt, s0(fr), s1(fr))
+            else:
+                step = lambda fr: dfunc(fr.rt, *[s(fr) for s in sub])
+            return _noting_volatile(step) if b.volatile else step
     # General case: build the boxed value, then unwrap.
     s = compile_to_value(e, cx)
     cx.emit("unwrap")
@@ -737,7 +739,17 @@ def _call_value(e: FunctionCall, cx: _Ctx):
     sub = [compile_to_value(a, cx) for a in e.args]
     cx.emit(f"call {e.name} {len(sub)}")
     invoke = b.invoke
-    return lambda fr: invoke([s(fr) for s in sub], fr.rt)
+    step = lambda fr: invoke([s(fr) for s in sub], fr.rt)
+    return _noting_volatile(step) if b.volatile else step
+
+
+def _noting_volatile(step):
+    """A volatile builtin's call step: it first marks the cell being
+    evaluated volatile (decided here, so other calls pay nothing)."""
+    def run(fr):
+        fr.rt.note_volatile()
+        return step(fr)
+    return run
 
 
 def _sdf_value(e: SdfCall, cx: _Ctx, tail: bool):

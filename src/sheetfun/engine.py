@@ -1,10 +1,23 @@
 """Workbook model, builtin functions and the interpretive evaluator.
 
-Recalculation is demand-driven and memoized: each formula cell is
-evaluated at most once per generation, and re-entering a cell that is
-already being evaluated yields #CYCLE!.  Booleans are numbers (0 is
-false, everything else true).  Volatile functions (RAND, NOW) are
-re-evaluated once per recalculation, not once per reference.
+Recalculation is demand-driven, memoized and incremental.  While a
+formula cell evaluates, every cell it reads records it as a reader, so
+the workbook keeps a support graph that covers all read paths: the
+interpreter, compiled function bodies and area reads.  ``set_cell``
+marks the cell and everything that transitively read it as not current;
+``recalculate`` recomputes those cells, the volatile cells and their
+readers, and leaves every other value as it is.  A cell is volatile when
+its last evaluation ran a volatile builtin (DEFINE, RAND, NOW,
+SPECIALIZE, ...), so every DEFINE re-runs on every recalculation.  An
+edit on a function sheet, or a DEFINE that changes a function's code,
+also reaches every cell whose last evaluation used the function table.
+
+Re-entering a cell that is already being evaluated yields #CYCLE!.  A
+nested evaluation that runs out of Python stack unwinds to the outermost
+read, which evaluates the deeper cell first and retries, so chains of any
+depth compute at the default recursion limit, in the order of plain
+recursion wherever that fits on the stack.  Booleans are numbers (0 is
+false, everything else true).
 
 The interpreter here is the semantic reference: compiled function bodies
 must agree with it bit for bit, so both take every scalar operator from
@@ -351,13 +364,46 @@ def default_registry() -> Registry:
 
 # --- workbook ----------------------------------------------------------------
 
-class Cell:
-    __slots__ = ("content", "cached", "cached_gen")
+# A cell keeps up to this many readers in a list, more in a set: most
+# cells have one or two readers, and a list is a quarter of a set's size.
+_LIST_READERS = 8
 
-    def __init__(self, content):
-        self.content = content      # Value for constants, Expr for formulas
+
+class _TooDeep(Exception):
+    """A nested evaluation ran out of Python stack; its args are the
+    (addr, cell) it did not evaluate."""
+
+
+class Cell:
+    """A cell's content, its memoized value and the cells that read it.
+
+    ``content`` is a Value for constants, an Expr for formulas, and None
+    for an empty cell that a formula read.  ``readers`` holds the cells
+    whose evaluation read this one since it last changed: None until the
+    first read, then a list, or a set once the list is long.
+    """
+
+    __slots__ = ("content", "cached", "cached_gen", "readers", "sheet", "key")
+
+    def __init__(self, content, sheet: str, key: tuple[int, int]):
+        self.content = content
         self.cached = None
         self.cached_gen = -1
+        self.readers = None
+        self.sheet = sheet
+        self.key = key              # (col, row)
+
+    def add_reader(self, reader: "Cell") -> None:
+        readers = self.readers
+        if readers is None:
+            self.readers = [reader]
+        elif type(readers) is set:
+            readers.add(reader)
+        elif reader not in readers:
+            if len(readers) < _LIST_READERS:
+                readers.append(reader)
+            else:
+                self.readers = {*readers, reader}
 
 
 class Sheet:
@@ -371,9 +417,6 @@ class Sheet:
     def cell(self, addr: CellAddr) -> Cell | None:
         return self.cells.get((addr.col, addr.row))
 
-    def set(self, addr: CellAddr, content) -> None:
-        self.cells[(addr.col, addr.row)] = Cell(content)
-
     def sorted_addrs(self) -> list[CellAddr]:
         keys = sorted(self.cells, key=lambda k: (k[1], k[0]))
         return [CellAddr(self.name, c, r) for c, r in keys]
@@ -385,6 +428,8 @@ class Workbook:
     def __init__(self, seed: int = 0, registry: Registry | None = None,
                  spec_limit: int = 100, strict_simplify: bool = False):
         self.sheets: dict[str, Sheet] = {}
+        # A formula cell's value is current when its cached_gen equals
+        # this stamp; invalidation lowers cached_gen, so it never moves.
         self.generation = 0
         self.rng = SplitMix64(seed)
         self.registry = registry or default_registry()
@@ -392,7 +437,14 @@ class Workbook:
         self.specializer = peval.Specializer(
             self, limit=spec_limit, strict_simplify=strict_simplify)
         self.diagnostics: list[str] = []
-        self._inflight: set[tuple[str, int, int]] = set()
+        self._reader: Cell | None = None    # the cell being evaluated
+        self._inflight: set[Cell] = set()
+        self._pending: list[Cell] = []      # formula cells to recompute
+        self._volatile: set[Cell] = set()
+        self._fn_users: set[Cell] = set()   # cells that used the function table
+        # (sheet, col, row) -> the Cell recording the readers of an empty
+        # cell; it becomes the real cell when that address is set.
+        self._absent: dict[tuple[str, int, int], Cell] = {}
 
     # -- sheet and cell management
 
@@ -401,48 +453,157 @@ class Workbook:
             raise ValueError(f"sheet {name} already exists")
         sheet = Sheet(name, kind)
         self.sheets[name] = sheet
+        # Cells that read this sheet before it existed got #REF!.
+        self._invalidate([c for k, c in self._absent.items() if k[0] == name])
         return sheet
 
     def sheet(self, name: str) -> Sheet | None:
         return self.sheets.get(name)
 
     def set_cell(self, addr: CellAddr, text: str) -> None:
-        """Set a cell from source text: a formula or a constant."""
+        """Set a cell from source text: a formula or a constant.  The next
+        recalculation recomputes it and every cell that read it."""
         sheet = self.sheets[addr.sheet]
-        sheet.set(addr, parse_content(text))
+        content = parse_content(text)
+        key = (addr.col, addr.row)
+        cell = sheet.cells.get(key)
+        if cell is None:
+            cell = self._absent.pop((addr.sheet,) + key, None) \
+                or Cell(None, addr.sheet, key)
+            sheet.cells[key] = cell
+        cell.content = content
+        cell.cached = None
+        self._invalidate([cell])
+        if sheet.kind == "function":
+            self._functions_changed()
 
     def log_diagnostic(self, message: str) -> None:
         self.diagnostics.append(message)
 
+    # -- the support graph
+
+    def note_volatile(self) -> None:
+        """Mark the cell being evaluated volatile: the next recalculation
+        recomputes it.  Every volatile builtin call runs this."""
+        if self._reader is not None:
+            self._volatile.add(self._reader)
+
+    def note_function_use(self) -> None:
+        """Record that the cell being evaluated used the function table,
+        so a change to the functions recomputes it."""
+        if self._reader is not None:
+            self._fn_users.add(self._reader)
+
+    def _functions_changed(self) -> None:
+        """Invalidate every cell whose last evaluation used the function
+        table: a function it reached may compute differently now."""
+        users, self._fn_users = self._fn_users, set()
+        self._invalidate(list(users))
+
+    def _invalidate(self, stack: list) -> None:
+        """Mark the cells in ``stack`` (which this consumes) and every cell
+        that transitively read them as not current, and queue the formula
+        cells among them."""
+        gen, pending = self.generation, self._pending
+        for cell in stack:
+            cell.cached_gen = -1
+        while stack:
+            cell = stack.pop()
+            if isinstance(cell.content, Expr):
+                pending.append(cell)
+            readers = cell.readers
+            if readers:
+                for r in readers:
+                    if r.cached_gen == gen:
+                        r.cached_gen = -1
+                        stack.append(r)
+                readers.clear()     # kept for the re-evaluated readers
+
     # -- evaluation
 
     def get_value(self, addr: CellAddr) -> Value:
+        """A cell's value, evaluated first unless it is current.  A read
+        made while a formula cell evaluates records that cell as a reader,
+        also when the value is memoized and when the cell is empty."""
         sheet = self.sheets.get(addr.sheet)
-        if sheet is None:
-            return ERROR_REF
-        cell = sheet.cell(addr)
+        cell = None if sheet is None else sheet.cells.get((addr.col, addr.row))
+        reader = self._reader
         if cell is None:
-            return Number(0.0)
+            if reader is not None:
+                key = (addr.sheet, addr.col, addr.row)
+                cell = self._absent.get(key)
+                if cell is None:
+                    cell = self._absent[key] = Cell(None, addr.sheet, key[1:])
+                cell.add_reader(reader)
+            return ERROR_REF if sheet is None else Number(0.0)
+        if reader is not None:
+            cell.add_reader(reader)
         content = cell.content
         if isinstance(content, Value):
             return content
         if cell.cached_gen == self.generation:
             return cell.cached
-        key = (addr.sheet, addr.col, addr.row)
-        if key in self._inflight:
+        if cell in self._inflight:
+            # Which member of a cycle reads #CYCLE! depends on where the
+            # cycle is entered, so its cells re-run on every recalculation
+            # and are entered where a recalculation of every cell would.
+            if reader is not None:
+                self._volatile.add(reader)
             return ERROR_CYCLE
-        self._inflight.add(key)
+        if reader is None:
+            return self._evaluate_outermost(addr, cell)
+        # Evaluated here, not in a helper, so that each nested cell costs
+        # as few Python frames as plain recursion.
+        self._reader = cell
+        self._inflight.add(cell)
         try:
-            v = eval_expr(content, addr, self)
+            v = eval_expr(cell.content, addr, self)
+        except RecursionError:
+            raise _TooDeep(addr, cell) from None
         finally:
-            self._inflight.discard(key)
+            self._inflight.discard(cell)
+            self._reader = reader
         cell.cached = v
         cell.cached_gen = self.generation
         return v
 
+    def _evaluate_outermost(self, addr: CellAddr, cell: Cell) -> Value:
+        """Evaluate a cell outside any other cell's evaluation.  A nested
+        read that runs out of Python stack unwinds to here; the cell it
+        read is evaluated first, with the stack free, then the cell that
+        read it is retried.  Cells waiting for a retry stay in flight and
+        read as #CYCLE!."""
+        todo = [(addr, cell)]
+        try:
+            while todo:
+                addr, cell = todo[-1]
+                self._reader = cell
+                self._inflight.add(cell)
+                try:
+                    v = eval_expr(cell.content, addr, self)
+                except _TooDeep as deeper:
+                    todo.append(deeper.args)
+                    continue
+                finally:
+                    self._reader = None
+                cell.cached = v
+                cell.cached_gen = self.generation
+                self._inflight.discard(cell)
+                todo.pop()
+            return v
+        finally:
+            for _, waiting in todo:
+                self._inflight.discard(waiting)
+
     def recalculate(self) -> None:
-        """Start a new generation and recompute every formula cell."""
-        self.generation += 1
+        """Recompute what changed since the last recalculation: the cells
+        set since then, every volatile cell (each DEFINE among them, so
+        every DEFINE re-runs) and every cell that transitively read one of
+        those.  No other cell is evaluated.  DEFINE cells run first, then
+        the others in sheet order, row by row, as a recalculation of every
+        cell would visit them, so RAND draws come out the same."""
+        volatile, self._volatile = self._volatile, set()
+        self._invalidate(list(volatile))
         for sheet in self.sheets.values():
             if sheet.kind != "function":
                 continue
@@ -450,12 +611,17 @@ class Workbook:
                 content = sheet.cell(addr).content
                 if isinstance(content, FunctionCall) and content.name == "DEFINE":
                     self.get_value(addr)
-        for sheet in self.sheets.values():
-            if sheet.kind != "ordinary":
-                continue
-            for addr in sheet.sorted_addrs():
-                if isinstance(sheet.cell(addr).content, Expr):
-                    self.get_value(addr)
+        rank = {name: i for i, (name, sheet) in enumerate(self.sheets.items())
+                if sheet.kind == "ordinary"}
+        # Cleared only at the end: if an evaluation raises, the next
+        # recalculation still finds every cell this one did not reach.
+        pending = self._pending
+        pending.sort(key=lambda c: (rank.get(c.sheet, -1), c.key[1], c.key[0]))
+        for cell in pending:
+            if cell.cached_gen != self.generation and cell.sheet in rank \
+                    and isinstance(cell.content, Expr):
+                self.get_value(CellAddr(cell.sheet, *cell.key))
+        pending.clear()
 
     def eval_formula(self, text: str, sheet: str | None = None) -> Value:
         """Parse and evaluate a formula in the context of ``sheet``."""
@@ -527,6 +693,7 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     if t is FunctionCall:
         return _eval_call(e, at, wb)
     if t is SdfCall:
+        wb.note_function_use()
         argv = [eval_expr(a, at, wb) for a in e.args]
         return wb.function_table.call(e.target, argv, wb)
     if t is MakeClosure:
@@ -570,12 +737,15 @@ def _eval_choose(e: Choose, at: CellAddr, wb: Workbook) -> Value:
 def _eval_call(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
     b = wb.registry.get(e.name)
     if b is not None:
+        if b.volatile:
+            wb.note_volatile()
         if b.special:
             if e.name == "DEFINE":
                 return _eval_define(e, at, wb)
             return ERROR_VALUE
         argv = [eval_expr(a, at, wb) for a in e.args]
         return b.invoke(argv, wb)
+    wb.note_function_use()
     target = wb.function_table.lookup_name(e.name)
     if target is None:
         return ERROR_NAME
@@ -599,21 +769,29 @@ def _eval_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
     name = args[0].value
     out = args[1].addr.on(at.sheet)
     ins = [a.addr.on(at.sheet) for a in args[2:]]
+    table = wb.function_table
+    old = table.get(table.lookup_name(name))
     try:
         info = sdf.define(wb, name, out, ins)
     except sdf.DefineError as ex:
         wb.log_diagnostic(f"DEFINE at {at.text()}: {ex}")
         return ErrorValue.intern("#ERR:DEFINE")
+    # Re-running an unchanged DEFINE can still change its code: a call in
+    # the body resolves once the callee is defined.
+    if old is None or old.compiled.listing != info.compiled.listing:
+        wb._functions_changed()
     return Text(info.name)
 
 
 def _eval_make_closure(e: MakeClosure, at: CellAddr, wb: Workbook) -> Value:
+    wb.note_function_use()
     fnv = eval_expr(e.fn, at, wb)
     argv = [eval_expr(a, at, wb) for a in e.args]
     return wb.function_table.make_closure(fnv, argv)
 
 
 def _eval_apply(e: Apply, at: CellAddr, wb: Workbook) -> Value:
+    wb.note_function_use()
     fnv = eval_expr(e.fn, at, wb)
     if type(fnv) is ErrorValue:
         return fnv

@@ -168,9 +168,7 @@ class Specializer:
         try:
             res_id, res_name, dyn_pos = self._ensure(fv.target, pattern)
         except _SpecLimit as ex:
-            for pkey, rid in self._journal:
-                self.cache.pop(pkey, None)
-                table.remove(rid)
+            self._roll_back()
             self.wb.log_diagnostic(
                 f"SPECIALIZE {ex.name}: budget of {self.limit} residual "
                 "functions exceeded; keeping the original")
@@ -179,11 +177,23 @@ class Specializer:
                            f"rolled back {len(self._journal)} residuals; "
                            "keeping the original")
             return fv
+        except BaseException:
+            # Cache entries are made before their bodies are built; none
+            # may outlive an attempt that did not finish.
+            self._roll_back()
+            raise
         finally:
             sys.setrecursionlimit(old_limit)
             self._counts = None
             self._journal = None
         return FunctionValue(res_id, res_name, [HOLE] * len(dyn_pos))
+
+    def _roll_back(self) -> None:
+        """Forget the cache entries and residuals of this attempt."""
+        table = self.wb.function_table
+        for pkey, rid in self._journal:
+            self.cache.pop(pkey, None)
+            table.remove(rid)
 
     def invalidate(self, fn_id: int) -> None:
         """Forget residuals of a redefined function."""

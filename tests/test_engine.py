@@ -1,17 +1,20 @@
 """Workbook evaluation: interpreter semantics, recalculation, builtins."""
 
 import math
+import random
+import struct
+import sys
 
 import pytest
 
-from sheetfun import CellAddr, Number, Text, Workbook
+from sheetfun import CellAddr, Number, Text, Workbook, display
 from sheetfun.engine import Builtin, Registry, SplitMix64, default_registry
 from sheetfun.values import (
     ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_NUM, ERROR_REF,
     ERROR_VALUE, ErrorValue,
 )
 
-from conftest import a1, call, fill
+from conftest import a1, call, fill, make_wb
 
 
 def ev(wb, formula, sheet="S"):
@@ -230,3 +233,339 @@ def test_now_is_a_serial_date(wb):
     v = ev(wb, "=NOW()")
     # Days since 1899-12-30; any current date is far past 2020.
     assert v.value > 43830
+
+
+# --- incremental recalculation ----------------------------------------------
+
+def _bits(v):
+    """A value as plain data: Numbers by bit pattern, others as shown."""
+    if type(v) is Number:
+        return struct.pack("<d", v.value)
+    return (type(v).__name__, display(v))
+
+
+def _load(contents: dict, seed: int = 0) -> Workbook:
+    """A fresh workbook holding ``contents`` ({(sheet, ref): text}) after
+    one recalculation, which evaluates every cell."""
+    w = Workbook(seed=seed)
+    w.add_sheet("S")
+    w.add_sheet("F", kind="function")
+    for (sheet, ref), text in contents.items():
+        w.set_cell(a1(sheet, ref), text)
+    w.recalculate()
+    assert not w.diagnostics, w.diagnostics
+    return w
+
+
+def _edit(w: Workbook, contents: dict, edits: dict) -> None:
+    for (sheet, ref), text in edits.items():
+        contents[(sheet, ref)] = text
+        w.set_cell(a1(sheet, ref), text)
+    w.recalculate()
+
+
+def _grid(w: Workbook, refs) -> dict:
+    return {ref: _bits(w.get_value(a1("S", ref))) for ref in refs}
+
+
+# SCALE reads the ordinary cell S!H1 from its body; ADDP is called through
+# CLOSURE and APPLY.
+LIB_CELLS = {
+    ("F", "B1"): "0", ("F", "B2"): "=B1*2+S!H1",
+    ("F", "B3"): '=DEFINE("SCALE", B2, B1)',
+    ("F", "C1"): "0", ("F", "C2"): "0", ("F", "C3"): "=C1-C2",
+    ("F", "C4"): '=DEFINE("ADDP", C3, C1, C2)',
+}
+SCALE_BODIES = ["=B1*2+S!H1", "=B1*3-S!H1", "=IF(B1>2, B1, S!H1)"]
+_COLS = "ABCDEFG"       # column G starts empty, but formulas read it
+
+
+def _ref(rng):
+    return f"{rng.choice(_COLS)}{rng.randint(1, 8)}"
+
+
+def _formula(rng) -> str:
+    a, b, c = _ref(rng), _ref(rng), _ref(rng)
+    kind = rng.randrange(8)
+    if kind == 0:
+        return f"={a}+{b}*0.5"
+    if kind == 1:
+        return f"=IF({a}>{b}, {c}, {a}-1)"
+    if kind == 2:
+        r = rng.randint(1, 7)
+        return f"=SUM(A{r}:{rng.choice('BCG')}{r + 1})"
+    if kind == 3:
+        return f"=SCALE({a})"
+    if kind == 4:
+        return f'=APPLY(CLOSURE("ADDP", {a}, #NA), {b})'
+    if kind == 5:
+        return f"=CHOOSE(1+MOD(ABS({a}), 2), {b}, {c})"
+    if kind == 6:
+        return f'={a}&"x"'
+    return f"=ISERROR({a})+{b}"
+
+
+def _constant(rng) -> str:
+    return rng.choice([str(rng.randint(-3, 9)), "2.5", "-0", '"t"', "#NA"])
+
+
+def test_random_edits_match_a_fresh_workbook():
+    rng = random.Random(20261018)
+    contents = dict(LIB_CELLS)
+    contents[("S", "H1")] = "1"
+    for col in _COLS[:-1]:
+        for row in range(1, 9):
+            contents[("S", f"{col}{row}")] = (
+                _formula(rng) if rng.random() < 0.6 else _constant(rng))
+    grid = [f"{col}{row}" for col in _COLS for row in range(1, 9)] + ["H1"]
+    w = _load(contents)
+    assert _grid(w, grid) == _grid(_load(contents), grid)
+    for step in range(60):
+        edits = {}
+        for _ in range(rng.randint(1, 3)):
+            pick = rng.random()
+            if pick < 0.1:
+                edits[("F", "B2")] = rng.choice(SCALE_BODIES)
+            elif pick < 0.2:
+                edits[("S", "H1")] = _constant(rng)
+            else:
+                ref = _ref(rng)     # column G: a cleared read gets a value
+                edits[("S", ref)] = (_formula(rng) if rng.random() < 0.4
+                                     else _constant(rng))
+        _edit(w, contents, edits)
+        assert _grid(w, grid) == _grid(_load(contents), grid), (step, edits)
+
+
+def test_setting_an_empty_cell_that_was_read(wb):
+    fill(wb, "S", {"A1": "=B5+1", "A2": "=SUM(B5:B6)", "A3": "=T!A1+1"})
+    wb.recalculate()
+    assert [wb.get_value(a1("S", r)) for r in ("A1", "A2")] == [
+        Number(1.0), Number(0.0)]
+    assert wb.get_value(a1("S", "A3")) is ERROR_REF
+    wb.set_cell(a1("S", "B6"), "4")
+    wb.recalculate()
+    assert wb.get_value(a1("S", "A2")) == Number(4.0)
+    wb.set_cell(a1("S", "B5"), "2")
+    wb.recalculate()
+    assert wb.get_value(a1("S", "A1")) == Number(3.0)
+    assert wb.get_value(a1("S", "A2")) == Number(6.0)
+    wb.add_sheet("T")               # the sheet A3 read did not exist
+    wb.recalculate()
+    assert wb.get_value(a1("S", "A3")) == Number(1.0)
+    wb.set_cell(a1("T", "A1"), "5")
+    wb.recalculate()
+    assert wb.get_value(a1("S", "A3")) == Number(6.0)
+
+
+def test_redefinition_reaches_every_caller(define):
+    w = define({"B1": "0", "B2": "=B1*2", "B3": '=DEFINE("DBL", B2, B1)'})
+    fill(w, "S", {"A1": "=DBL(3)", "A2": '=APPLY(CLOSURE("DBL", #NA), 4)',
+                  "A3": '=CLOSURE("DBL", 5)', "A4": "=APPLY(A3)",
+                  "A5": "=A1+1", "A6": "7"})
+    w.recalculate()
+    refs = ["A1", "A2", "A4", "A5", "A6"]
+    assert [w.get_value(a1("S", r)) for r in refs] == [
+        Number(x) for x in (6.0, 8.0, 10.0, 7.0, 7.0)]
+    w.set_cell(a1("F", "B2"), "=B1*3")
+    w.recalculate()
+    assert [w.get_value(a1("S", r)) for r in refs] == [
+        Number(x) for x in (9.0, 12.0, 15.0, 10.0, 7.0)]
+
+
+def test_callee_defined_after_its_caller(wb):
+    # G's DEFINE runs before H exists, so G's first code gives #NAME?; the
+    # next recalculation re-runs it, the call resolves, and G's callers
+    # follow, as when every cell is recalculated.
+    w = wb
+    fill(w, "F", {"B1": "0", "B2": "=H(B1)+1", "B3": '=DEFINE("G", B2, B1)',
+                  "B5": "0", "B6": "=B5*10", "B7": '=DEFINE("H", B6, B5)'})
+    fill(w, "S", {"A1": "=G(2)"})
+    w.recalculate()
+    assert w.get_value(a1("S", "A1")) is ERROR_NAME
+    w.recalculate()
+    assert w.get_value(a1("S", "A1")) == Number(21.0)
+
+
+def test_function_body_read_is_an_edge(define):
+    # ADDC's compiled body reads S!C1; editing C1 reaches the calling cell.
+    w = define({"B1": "0", "B2": "=B1+S!C1",
+                "B3": '=DEFINE("ADDC", B2, B1)'})
+    fill(w, "S", {"C1": "10", "A1": "=ADDC(1)", "A2": "=SUM(S!C1:C2)"})
+    w.recalculate()
+    assert w.get_value(a1("S", "A1")) == Number(11.0)
+    assert "getcell S!C1" in w.function_table.get(
+        w.function_table.lookup_name("ADDC")).compiled.listing
+    w.set_cell(a1("S", "C1"), "20")
+    w.recalculate()
+    assert w.get_value(a1("S", "A1")) == Number(21.0)
+    assert w.get_value(a1("S", "A2")) == Number(20.0)
+
+
+def test_recalculation_skips_cells_no_edit_reached():
+    counter = [0]
+
+    def tick(args, rt):
+        counter[0] += 1
+        return args[0]
+
+    reg = default_registry().clone()
+    reg.register(Builtin("COUNT", 1, 1, tick))
+    w = Workbook(registry=reg)
+    w.add_sheet("S")
+    fill(w, "S", {"A1": "1", "A2": "=COUNT(A1)", "B1": "2",
+                  "B2": "=COUNT(B1)", "B3": "=COUNT(B2)"})
+    w.recalculate()
+    assert counter[0] == 3
+    w.set_cell(a1("S", "A1"), "5")
+    w.recalculate()
+    assert counter[0] == 4
+    w.recalculate()
+    assert counter[0] == 4
+    assert w.get_value(a1("S", "A2")) == Number(5.0)
+
+
+def test_compiled_rand_keeps_its_caller_volatile():
+    w = make_wb({"B1": "1", "B2": "1",
+                 "B3": "=IF(RAND()<B1, B2, EXPSAMPLE(B1, B2+1))",
+                 "B4": '=DEFINE("EXPSAMPLE", B3, B1, B2)'}, seed=3)
+    fill(w, "S", {"A1": "=EXPSAMPLE(0.5, 1)", "A2": "=A1*0"})
+    seen = set()
+    for _ in range(12):
+        w.recalculate()
+        seen.add(w.get_value(a1("S", "A1")).value)
+    assert len(seen) > 1
+
+
+def test_rand_draws_match_a_full_recalculation():
+    # A2 reads the RAND cell below it, so that cell draws out of row order;
+    # C1 draws through EXPSAMPLE's compiled body.
+    cells = {("F", "B1"): "1", ("F", "B2"): "1",
+             ("F", "B3"): "=IF(RAND()<B1, B2, EXPSAMPLE(B1, B2+1))",
+             ("F", "B4"): '=DEFINE("EXPSAMPLE", B3, B1, B2)',
+             ("S", "A1"): "=RAND()", ("S", "A2"): "=A4+B1",
+             ("S", "A3"): "=RAND()*B1", ("S", "A4"): "=RAND()",
+             ("S", "B1"): "2", ("S", "B2"): "=B1*3",
+             ("S", "C1"): "=EXPSAMPLE(0.3, 1)", ("S", "C2"): "=RAND()+C1"}
+    refs = ["A1", "A2", "A3", "A4", "B2", "C1", "C2"]
+    inc, full = _load(dict(cells), seed=11), _load(dict(cells), seed=11)
+    rng = random.Random(5)
+    for _ in range(8):
+        value = str(rng.randint(1, 9))
+        inc.set_cell(a1("S", "B1"), value)
+        cells[("S", "B1")] = value
+        inc.recalculate()
+        for (sheet, ref), text in cells.items():    # every cell changes
+            full.set_cell(a1(sheet, ref), text)
+        full.recalculate()
+        assert _grid(inc, refs) == _grid(full, refs)
+
+
+def test_rand_draws_in_row_order():
+    # A1 reads A3, so A3 draws first; then B1, then A2.  Each
+    # recalculation draws again in that order, whatever else it skips.
+    w = Workbook(seed=7)
+    w.add_sheet("S")
+    fill(w, "S", {"A1": "=A3", "B1": "=RAND()", "A2": "=RAND()",
+                  "A3": "=RAND()", "C3": "1", "C4": "=C3*2"})
+    rng = SplitMix64(7)
+    for value in ("2", "3", "4"):
+        w.recalculate()
+        want = [rng.next_double() for _ in range(3)]
+        got = [w.get_value(a1("S", r)).value for r in ("A3", "B1", "A2")]
+        assert got == want
+        w.set_cell(a1("S", "C3"), value)
+
+
+# --- deep chains and cycles -------------------------------------------------
+
+def test_deep_chain_at_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    n = 100_000
+    w = Workbook()
+    w.add_sheet("S")
+    for i in range(1, n):
+        w.set_cell(CellAddr("S", 1, i), f"=A{i + 1}+1")
+    w.set_cell(CellAddr("S", 1, n), "1")
+    w.recalculate()
+    assert w.get_value(CellAddr("S", 1, 1)) == Number(float(n))
+    assert sys.getrecursionlimit() == limit
+    # An edit at the bottom reaches the top through the same path.
+    w.set_cell(CellAddr("S", 1, n), "2")
+    w.recalculate()
+    assert w.get_value(CellAddr("S", 1, 1)) == Number(float(n + 1))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_deep_chain_read_outside_a_recalculation():
+    w = Workbook()
+    w.add_sheet("S")
+    for i in range(1, 3000):
+        w.set_cell(CellAddr("S", 1, i), f"=A{i + 1}+1")
+    assert w.eval_formula("=A1*2", "S") == Number(2 * 2999.0)
+
+
+@pytest.mark.parametrize("n", [150, 5000])
+def test_long_cycle_ends_with_cycle_errors(n):
+    # 5,000 cells do not fit on the stack: cells waiting for a retry must
+    # read as in flight, or the cycle is never closed.
+    w = Workbook()
+    w.add_sheet("S")
+    for i in range(1, n + 1):
+        w.set_cell(CellAddr("S", 1, i), f"=A{i % n + 1}+1")
+    w.recalculate()
+    assert all(w.get_value(CellAddr("S", 1, i)) is ERROR_CYCLE
+               for i in range(1, n + 1))
+
+
+def test_deep_chain_of_nested_formulas():
+    # Each cell costs several Python frames; no fixed count of nested
+    # cells would fit them all on the stack.
+    w = Workbook()
+    w.add_sheet("S")
+    for i in range(1, 3000):
+        w.set_cell(CellAddr("S", 1, i), f"=((((A{i + 1}+1)+1)+1)+1)")
+    w.recalculate()
+    assert w.get_value(CellAddr("S", 1, 1)) == Number(4.0 * 2999)
+
+
+def test_two_cell_cycle_as_a_full_recalculation(wb):
+    # Which member reads #CYCLE! depends on where the cycle is entered;
+    # each recalculation enters it where a recalculation of every cell
+    # would (the values are those of the whole-sheet recalculation).
+    fill(wb, "S", {"C1": "=IF(ISERROR(C2), 7, 1)", "C2": "=C1+1",
+                   "B1": "=B2+1", "B2": "=B1+1"})
+    refs = ["C1", "C2", "B1", "B2"]
+    wb.recalculate()
+    assert [display(wb.get_value(a1("S", r))) for r in refs] == [
+        "7", "#CYCLE!", "#CYCLE!", "#CYCLE!"]
+    wb.set_cell(a1("S", "A1"), "=C2")      # now the cycle is entered at C2
+    wb.recalculate()
+    assert [display(wb.get_value(a1("S", r))) for r in ["A1"] + refs] == [
+        "8", "7", "8", "#CYCLE!", "#CYCLE!"]
+    wb.set_cell(a1("S", "A1"), "5")
+    wb.recalculate()
+    assert [display(wb.get_value(a1("S", r))) for r in refs] == [
+        "7", "#CYCLE!", "#CYCLE!", "#CYCLE!"]
+
+
+def test_recalculation_resumes_after_an_exception():
+    fail = [True]
+
+    def once(args, rt):
+        if fail[0]:
+            fail[0] = False
+            raise RuntimeError("once")
+        return args[0]
+
+    reg = default_registry().clone()
+    reg.register(Builtin("ONCE", 1, 1, once))
+    w = Workbook(registry=reg)
+    w.add_sheet("S")
+    fill(w, "S", {"A1": "=ONCE(2)", "A2": "=RAND()", "A3": "=RAND()"})
+    with pytest.raises(RuntimeError):
+        w.recalculate()
+    w.recalculate()                 # evaluates A1, A2, A3 in row order
+    rng = SplitMix64(0)
+    a2, a3 = rng.next_double(), rng.next_double()
+    assert [w.get_value(a1("S", r)) for r in ("A3", "A2", "A1")] == [
+        Number(a3), Number(a2), Number(2.0)]

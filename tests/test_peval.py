@@ -5,6 +5,7 @@ import math
 import pytest
 
 from sheetfun import Number, Text, Workbook
+from sheetfun.engine import Builtin, default_registry
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE,
 )
@@ -332,6 +333,31 @@ def test_budget_counts_residuals_per_function():
     assert fn_count(w) == count + 2
     assert not w.diagnostics
     assert apply(w, fv, 4) == Number(10.0)
+
+
+def test_failed_specialize_leaves_nothing_behind():
+    # A builtin that raises once.  The failed SPECIALIZE must not leave its
+    # cache entry behind, or the next one returns a residual that was never
+    # installed and calling it gives #NAME?.
+    raised = []
+
+    def boom(args, rt):
+        if not raised:
+            raised.append(True)
+            raise RuntimeError("boom")
+        return Number(args[0].value * 2)
+
+    reg = default_registry().clone()
+    reg.register(Builtin("BOOM", 1, 1, boom))
+    w = make_wb({"B1": "0", "B2": "0", "B3": "=BOOM(B1)+B2",
+                 "B4": '=DEFINE("G", B3, B1, B2)'}, registry=reg)
+    count = fn_count(w)
+    with pytest.raises(RuntimeError):
+        w.eval_formula('=SPECIALIZE(CLOSURE("G", 3, #NA))', "S")
+    assert fn_count(w) == count and not w.specializer.cache
+    fv = spec(w, '=SPECIALIZE(CLOSURE("G", 3, #NA))')
+    assert apply(w, fv, 1) == Number(7.0)
+    assert call(w, "G", 3, 1) == Number(7.0)
 
 
 def test_trace_hook_reports_each_residual():
