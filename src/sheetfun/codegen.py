@@ -16,8 +16,10 @@ the chosen branch and constant comparison operands skip the runtime NaN
 test.  Numeric cells keep raw doubles in their slots; a straight-line
 numeric body boxes exactly once, at the return.
 
-Calls in tail position return a TailCall token which the entry loop
-chases, so tail recursion runs in constant stack.  The IR listing is
+A FunctionCall here always names a builtin: DEFINE links every other
+call to a function id (an SdfCall).  Calls in tail position return a
+TailCall token, which ``sdf.FunctionTable.call`` chases, so tail
+recursion runs in constant stack.  The IR listing is
 emitted by the same traversal that builds the closures and is stored on
 the CompiledFunction for ``dump-ir``.
 """
@@ -31,9 +33,9 @@ from .formula import (
     ValueConst,
 )
 from .values import (
-    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ArrayValue,
-    ErrorValue, FunctionValue, Number, Text, Value, choose_index, error_nan,
-    fconcat_values, format_number, from_double_or_nan, literal, make_number,
+    BINARY_OPS, COMPARE_OPS, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
+    FunctionValue, Number, Text, choose_index, error_nan, fconcat_values,
+    format_number, from_double_or_nan, literal, make_number,
     to_double_or_nan,
 )
 
@@ -99,18 +101,6 @@ class CompiledFunction:
         for step in self.steps:
             step(fr)
         return self.out_step(fr)
-
-    def call(self, argv, rt) -> Value:
-        """Execute with the trampoline: chase TailCall tokens iteratively."""
-        r = self.run(argv, rt)
-        while type(r) is TailCall:
-            info = rt.function_table.get(r.target)
-            if info is None:
-                return ERROR_NAME
-            if len(r.args) != len(info.inputs):
-                return ERROR_VALUE
-            r = info.compiled.run(r.args, rt)
-        return r
 
 
 def read_area(rt, start: CellAddr, end: CellAddr, fallback_sheet):
@@ -203,8 +193,7 @@ def _is_numeric(e: Expr, cx: _Ctx) -> bool:
     if t is Choose:
         return all(_is_numeric(b, cx) for b in e.branches)
     if t is FunctionCall:
-        b = cx.registry.get(e.name)
-        return b is not None and b.numeric
+        return cx.registry.get(e.name).numeric
     return False
 
 
@@ -729,10 +718,6 @@ def _choose_step(e: Choose, cx: _Ctx, compile_branch, bad_value):
 
 def _call_value(e: FunctionCall, cx: _Ctx):
     b = cx.registry.get(e.name)
-    if b is None:
-        # Unresolved at definition time: a #NAME? constant.
-        cx.emit("error #NAME?")
-        return lambda fr: ERROR_NAME
     if b.special:
         cx.emit("error #VALUE!")
         return lambda fr: ERROR_VALUE

@@ -9,8 +9,9 @@ marks the cell and everything that transitively read it as not current;
 readers, and leaves every other value as it is.  A cell is volatile when
 its last evaluation ran a volatile builtin (DEFINE, RAND, NOW,
 SPECIALIZE, ...), so every DEFINE re-runs on every recalculation.  An
-edit on a function sheet, or a DEFINE that changes a function's code,
-also reaches every cell whose last evaluation used the function table.
+edit on a function sheet also reaches every cell whose last evaluation
+used the function table; DEFINE links calls by name, so a function's
+code depends only on its own function sheet.
 
 Re-entering a cell that is already being evaluated yields #CYCLE!.  A
 nested evaluation that runs out of Python stack unwinds to the outermost
@@ -37,8 +38,8 @@ from .formula import (
     TextConst, ValueConst, parse_formula,
 )
 from .values import (
-    BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NAME,
-    ERROR_NUM, ERROR_REF, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
+    BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
+    ERROR_REF, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
     FunctionValue, Number, Text, Value, choose_index, error_nan,
     fconcat_values, fdiv, from_double_or_nan, to_double_or_nan, truth,
 )
@@ -475,10 +476,16 @@ class Workbook:
         cell.cached = None
         self._invalidate([cell])
         if sheet.kind == "function":
-            self._functions_changed()
+            # Every cell that used the function table: a function it
+            # reached may compute differently now.
+            users, self._fn_users = self._fn_users, set()
+            self._invalidate(list(users))
 
     def log_diagnostic(self, message: str) -> None:
-        self.diagnostics.append(message)
+        """Record a message unless the same one is still pending: a broken
+        DEFINE re-runs on every recalculation and would log it again."""
+        if message not in self.diagnostics:
+            self.diagnostics.append(message)
 
     # -- the support graph
 
@@ -493,12 +500,6 @@ class Workbook:
         so a change to the functions recomputes it."""
         if self._reader is not None:
             self._fn_users.add(self._reader)
-
-    def _functions_changed(self) -> None:
-        """Invalidate every cell whose last evaluation used the function
-        table: a function it reached may compute differently now."""
-        users, self._fn_users = self._fn_users, set()
-        self._invalidate(list(users))
 
     def _invalidate(self, stack: list) -> None:
         """Mark the cells in ``stack`` (which this consumes) and every cell
@@ -746,11 +747,9 @@ def _eval_call(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
         argv = [eval_expr(a, at, wb) for a in e.args]
         return b.invoke(argv, wb)
     wb.note_function_use()
-    target = wb.function_table.lookup_name(e.name)
-    if target is None:
-        return ERROR_NAME
     argv = [eval_expr(a, at, wb) for a in e.args]
-    return wb.function_table.call(target, argv, wb)
+    table = wb.function_table
+    return table.call(table.lookup_name(e.name), argv, wb)
 
 
 def _eval_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
@@ -769,17 +768,11 @@ def _eval_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
     name = args[0].value
     out = args[1].addr.on(at.sheet)
     ins = [a.addr.on(at.sheet) for a in args[2:]]
-    table = wb.function_table
-    old = table.get(table.lookup_name(name))
     try:
         info = sdf.define(wb, name, out, ins)
     except sdf.DefineError as ex:
         wb.log_diagnostic(f"DEFINE at {at.text()}: {ex}")
         return ErrorValue.intern("#ERR:DEFINE")
-    # Re-running an unchanged DEFINE can still change its code: a call in
-    # the body resolves once the callee is defined.
-    if old is None or old.compiled.listing != info.compiled.listing:
-        wb._functions_changed()
     return Text(info.name)
 
 

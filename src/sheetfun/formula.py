@@ -28,7 +28,7 @@ __all__ = [
     "CellRef", "NormalCellRef", "NormalCellArea", "Arith1", "Arith2",
     "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
     "If", "Choose", "And", "Or", "CachedExpr", "LEAF_TYPES", "children",
-    "map_children", "walk", "const_expr",
+    "map_children", "walk", "const_expr", "PARSER_FORMS",
 ]
 
 
@@ -319,6 +319,10 @@ def _tokenize(text: str, start: int):
 # --- parser ------------------------------------------------------------------
 
 _CMP_OPS = {"=", "<>", "<", "<=", ">", ">="}
+
+# Call names the parser turns into nodes of their own (see make_call).
+PARSER_FORMS = frozenset(
+    ("IF", "CHOOSE", "AND", "OR", "NOT", "CLOSURE", "APPLY"))
 
 
 class _Parser:

@@ -464,11 +464,9 @@ class Specializer:
         return Dyn(make(tuple(residual)))
 
     def _pe_builtin(self, e: FunctionCall, env, dyn):
-        # A name unknown when defined is kept as a call.
         b = self.wb.registry.get(e.name)
         reduced = [self._pe(a, env, dyn) for a in e.args]
-        if b is not None and b.pure and all(type(r) is Static
-                                            for r in reduced):
+        if b.pure and all(type(r) is Static for r in reduced):
             return Static(b.invoke([r.value for r in reduced], self.wb))
         return Dyn(FunctionCall(e.name, tuple(_expr_r(r) for r in reduced)))
 

@@ -14,10 +14,14 @@ callable function.  Compilation proceeds in steps:
    slots that cannot be ordered first fall back to lazy on-demand slots,
 5. code generation (see codegen).
 
-CLOSURE builds FunctionValues with #NA arguments as holes; APPLY fills
-the holes and calls the target.  The table binds names to stable ids, so
-redefinition replaces the body under the same id and existing closures
-pick up the new meaning.
+A call to a name that is not a builtin is linked to the name's id when
+DEFINE runs, defined yet or not, so the order of the DEFINEs does not
+matter.  A builtin's name, or a form the parser takes itself, cannot be
+defined.  CLOSURE builds FunctionValues with #NA arguments as holes;
+APPLY fills the holes and calls the target.  The table binds names to
+stable ids, so redefinition replaces the body under the same id and
+existing closures pick up the new meaning.  Every call by id goes
+through ``FunctionTable.call``, the tail-call trampoline.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from collections import Counter
 
 from . import codegen
 from .formula import (
-    LEAF_TYPES, And, Arith1, CachedExpr, CellAddr, CellRef, Choose,
-    Comparison, ErrorConst, Expr, FunctionCall, If, NormalCellArea,
+    LEAF_TYPES, PARSER_FORMS, And, Arith1, CachedExpr, CellAddr, CellRef,
+    Choose, Comparison, ErrorConst, Expr, FunctionCall, If, NormalCellArea,
     NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
     children, const_expr, map_children, walk,
 )
@@ -137,24 +141,29 @@ class FunctionTable:
 
     # -- calling
 
-    def call(self, fn_id: int, argv: list, rt) -> Value:
-        info = self._infos.get(fn_id)
-        if info is None:
-            return ERROR_NAME
-        if len(argv) != len(info.inputs):
-            return ERROR_VALUE
-        return info.compiled.call(argv, rt)
+    def call(self, fn_id: int | None, argv: list, rt) -> Value:
+        """Run a function and chase the TailCall tokens it returns.  A
+        missing target is #NAME?, a wrong argument count #VALUE!."""
+        while True:
+            info = self._infos.get(fn_id)
+            if info is None:
+                return ERROR_NAME
+            if len(argv) != len(info.inputs):
+                return ERROR_VALUE
+            r = info.compiled.run(argv, rt)
+            if type(r) is not codegen.TailCall:
+                return r
+            fn_id, argv = r.target, r.args
 
     def make_closure(self, fnv: Value, argv: list) -> Value:
         if type(fnv) is Text:
-            fn_id = self.lookup_name(fnv.value)
-            if fn_id is None or fn_id not in self._infos:
+            info = self._infos.get(self.lookup_name(fnv.value))
+            if info is None:
                 return ERROR_NAME
-            info = self._infos[fn_id]
             if len(argv) != len(info.inputs):
                 return ERROR_VALUE
             captured = [HOLE if v is ERROR_NA else v for v in argv]
-            return FunctionValue(fn_id, info.name, captured)
+            return FunctionValue(info.id, info.name, captured)
         if type(fnv) is FunctionValue:
             merged = self.merge_args(
                 fnv, [HOLE if v is ERROR_NA else v for v in argv])
@@ -198,6 +207,9 @@ def define(wb, name: str, out: CellAddr, ins: list[CellAddr]) -> SdfInfo:
     if len(set(keys)) != len(keys):
         raise DefineError("duplicate input cells")
     cname = canonical_name(name)
+    if cname in PARSER_FORMS or wb.registry.get(cname) is not None:
+        raise DefineError(f"{cname} is a builtin; a call by that name "
+                          "never reaches a defined function")
     fresh = table.lookup_name(cname) is None
     fn_id = table.ensure_id(cname)
     sheet = wb.sheets[out.sheet]
@@ -226,8 +238,9 @@ def define(wb, name: str, out: CellAddr, ins: list[CellAddr]) -> SdfInfo:
 
 
 def _resolve(e: Expr, fsheet: str, table: FunctionTable, registry) -> Expr:
-    """Rewrite a body formula: normalize local references, resolve call
-    names against builtins and the function table."""
+    """Rewrite a body formula: normalize local references, and link every
+    call that is not a builtin to its name's id in the function table,
+    whether or not that name is defined yet."""
     t = type(e)
     if t is CellRef:
         return CellRef(e.addr.local())
@@ -243,9 +256,8 @@ def _resolve(e: Expr, fsheet: str, table: FunctionTable, registry) -> Expr:
         return e
     e = map_children(e, lambda c: _resolve(c, fsheet, table, registry))
     if t is FunctionCall and registry.get(e.name) is None:
-        fn_id = table.lookup_name(e.name)
-        if fn_id is not None:
-            return SdfCall(fn_id, canonical_name(e.name), e.args)
+        name = canonical_name(e.name)
+        return SdfCall(table.ensure_id(name), name, e.args)
     return e
 
 

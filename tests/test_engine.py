@@ -373,17 +373,85 @@ def test_redefinition_reaches_every_caller(define):
 
 
 def test_callee_defined_after_its_caller(wb):
-    # G's DEFINE runs before H exists, so G's first code gives #NAME?; the
-    # next recalculation re-runs it, the call resolves, and G's callers
-    # follow, as when every cell is recalculated.
+    # G's DEFINE runs before H's; the call in G's body is linked to H's id
+    # all the same, so the first recalculation already gives the value.
     w = wb
     fill(w, "F", {"B1": "0", "B2": "=H(B1)+1", "B3": '=DEFINE("G", B2, B1)',
                   "B5": "0", "B6": "=B5*10", "B7": '=DEFINE("H", B6, B5)'})
     fill(w, "S", {"A1": "=G(2)"})
     w.recalculate()
-    assert w.get_value(a1("S", "A1")) is ERROR_NAME
+    assert w.get_value(a1("S", "A1")) == Number(21.0)
     w.recalculate()
     assert w.get_value(a1("S", "A1")) == Number(21.0)
+
+
+BODIES = {"EVEN": "=IF({c}1=0, 1, ODD({c}1-1))",
+          "ODD": "=IF({c}1=0, 0, EVEN({c}1-1))"}
+
+
+@pytest.mark.parametrize("first", ["EVEN", "ODD"])
+def test_mutual_recursion_in_either_row_order(wb, first):
+    # Each body calls the other function, so one of the two DEFINEs always
+    # runs before its callee is defined (column B before C within a row).
+    w = wb
+    second = "ODD" if first == "EVEN" else "EVEN"
+    for c, name in (("B", first), ("C", second)):
+        fill(w, "F", {f"{c}1": "0", f"{c}2": BODIES[name].format(c=c),
+                      f"{c}3": f'=DEFINE("{name}", {c}2, {c}1)'})
+    ns = [0, 1, 2, 7, 10, 2001]
+    fill(w, "S", {f"A{i + 1}": f"=EVEN({n})" for i, n in enumerate(ns)})
+    fill(w, "S", {f"B{i + 1}": f"=ODD({n})" for i, n in enumerate(ns)})
+    w.recalculate()
+    assert not w.diagnostics
+    for i, n in enumerate(ns):
+        even = Number(1.0 - n % 2)
+        odd = Number(float(n % 2))
+        assert w.get_value(a1("S", f"A{i + 1}")) == even
+        assert w.get_value(a1("S", f"B{i + 1}")) == odd
+        assert call(w, "EVEN", n) == even
+        assert call(w, "ODD", n) == odd
+        # The interpreter, on each body with the argument put in.
+        assert ev(w, f"=IF({n}=0, 1, ODD({n}-1))") == even
+        assert ev(w, f"=IF({n}=0, 0, EVEN({n}-1))") == odd
+
+
+def test_call_of_an_undefined_name_in_a_body(wb):
+    # USESNO's body calls NOSUCH, which nothing defines yet: the call gives
+    # #NAME? after its arguments are evaluated, as in a cell.
+    w = wb
+    fill(w, "F", {"B1": "0", "B2": "=NOSUCH(RAND(), B1)",
+                  "B3": '=DEFINE("USESNO", B2, B1)'})
+    fill(w, "S", {"A1": "=USESNO(3)"})
+    plain = make_wb()
+    fill(plain, "S", {"A1": "=NOSUCH(RAND(), 3)"})
+    rng = SplitMix64(0)
+    for _ in range(3):
+        w.recalculate()
+        plain.recalculate()
+        rng.next_u64()
+        assert w.get_value(a1("S", "A1")) is ERROR_NAME
+        assert plain.get_value(a1("S", "A1")) is ERROR_NAME
+        assert w.rng.state == plain.rng.state == rng.state
+    assert ev(w, "=NOSUCH(RAND())") is ERROR_NAME
+    rng.next_u64()
+    assert w.rng.state == rng.state
+    # Defining the name later reaches the caller in one recalculation.
+    fill(w, "F", {"C1": "0", "C2": "0", "C3": "=C2*100",
+                  "C4": '=DEFINE("NOSUCH", C3, C1, C2)'})
+    w.recalculate()
+    assert w.get_value(a1("S", "A1")) == Number(300.0)
+
+
+def test_a_broken_define_logs_once_until_cleared(wb):
+    w = wb
+    fill(w, "F", {"B1": "0", "B2": "=B2", "B3": '=DEFINE("SELFY", B2, B1)'})
+    for _ in range(5):
+        w.recalculate()
+    assert len(w.diagnostics) == 1
+    assert "static cycle" in w.diagnostics[0]
+    w.diagnostics.clear()
+    w.recalculate()
+    assert len(w.diagnostics) == 1
 
 
 def test_function_body_read_is_an_edge(define):

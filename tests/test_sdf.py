@@ -8,7 +8,7 @@ from sheetfun.sdf import DefineError, build_body, canonical_name, _resolve
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NAME, ERROR_NUM, ERROR_VALUE, ErrorValue, HOLE, display,
 )
-from sheetfun import codegen
+from sheetfun import codegen, sdf
 from sheetfun.sdf import SdfInfo
 
 from conftest import a1, call, fill
@@ -100,8 +100,8 @@ def test_inlining_off_same_values():
         table.install(info)
         compiled.append(info.compiled)
     for x in (-3.0, 0.0, 2.5, 41.0):
-        a = compiled[0].call([Number(x)], w)
-        b = compiled[1].call([Number(x)], w)
+        a = table.call(compiled[0].fn_id, [Number(x)], w)
+        b = table.call(compiled[1].fn_id, [Number(x)], w)
         assert a == b == Number((x + 1) * 2 - x)
 
 
@@ -243,6 +243,32 @@ def test_failed_define_does_not_bind_name(wb):
     assert wb.get_value(a1("F", "B3")) == ERR_DEFINE
     assert wb.function_table.lookup_name("SELFY") is None
     assert wb.eval_formula("=SELFY(1)", "S") is ERROR_NAME
+
+
+@pytest.mark.parametrize("name", ["SQRT", "sqrt", "DEFINE", "IF", "CHOOSE",
+                                  "AND", "OR", "NOT", "CLOSURE", "APPLY"])
+def test_builtin_names_cannot_be_defined(wb, name):
+    # A call by such a name reaches the builtin or the parser's own form,
+    # never the defined function, so DEFINE refuses it and reserves no id.
+    fill(wb, "F", {"B1": "0", "B2": "=B1*100",
+                   "B3": f'=DEFINE("{name}", B2, B1)'})
+    wb.recalculate()
+    assert wb.get_value(a1("F", "B3")) == ERR_DEFINE
+    assert any("builtin" in d for d in wb.diagnostics)
+    with pytest.raises(DefineError, match="builtin"):
+        sdf.define(wb, name, a1("F", "B2"), [a1("F", "B1")])
+    assert wb.function_table.lookup_name(name) is None
+    assert wb.function_table.items() == []
+    assert wb.eval_formula(f'=APPLY(CLOSURE("{name}", #NA), 4)',
+                           "S") is ERROR_NAME
+
+
+def test_define_of_sqrt_leaves_the_builtin_alone(wb):
+    fill(wb, "F", {"B1": "0", "B2": "=B1*100",
+                   "B3": '=DEFINE("SQRT", B2, B1)'})
+    fill(wb, "S", {"A1": "=SQRT(4)"})
+    wb.recalculate()
+    assert wb.get_value(a1("S", "A1")) == Number(2.0)
 
 
 # --- evaluation conditions ---------------------------------------------------
