@@ -1,24 +1,31 @@
 """Workbook model, builtin functions and the interpretive evaluator.
 
-Recalculation is demand-driven, memoized and incremental.  While a
-formula cell evaluates, every cell it reads records it as a reader, so
+Recalculation is demand-driven, memoized and incremental, with early
+cutoff.  Each evaluation of a formula cell records the cells it read, in
+read order, as its inputs, and each of those records it as a reader, so
 the workbook keeps a support graph that covers all read paths: the
-interpreter, compiled function bodies and area reads.  ``set_cell``
-marks the cell and everything that transitively read it as not current;
-``recalculate`` recomputes those cells, the volatile cells and their
-readers, and leaves every other value as it is.  A cell is volatile when
-its last evaluation ran a volatile builtin (DEFINE, RAND, NOW,
-SPECIALIZE, ...), so every DEFINE re-runs on every recalculation.  An
-edit on a function sheet also reaches every cell whose last evaluation
-used the function table; DEFINE links calls by name, so a function's
-code depends only on its own function sheet.
+interpreter, compiled function bodies and area reads.  ``set_cell``, a
+volatile cell and an edit on a function sheet mark their own cells
+dirty; the cells that transitively read them are only unverified.
+``recalculate`` evaluates a dirty cell.  An unverified cell brings its
+recorded inputs current, in order, and is evaluated only if one of them
+changed value since it read it; values are compared bit for bit through
+``values.value_key``.  A cell whose value comes out the same stops the
+recalculation there, and every cell no mark reached is left as it is.  A
+cell is volatile when its last evaluation ran a volatile builtin
+(DEFINE, RAND, NOW, SPECIALIZE, ...), so every DEFINE re-runs on every
+recalculation.  An edit on a function sheet marks dirty every cell whose
+last evaluation used the function table; DEFINE links calls by name, so
+a function's code depends only on its own function sheet, and a function
+lives only as long as the DEFINE cell that installed it.
 
-Re-entering a cell that is already being evaluated yields #CYCLE!.  A
-nested evaluation that runs out of Python stack unwinds to the outermost
-read, which evaluates the deeper cell first and retries, so chains of any
-depth compute at the default recursion limit, in the order of plain
-recursion wherever that fits on the stack.  Booleans are numbers (0 is
-false, everything else true).
+Re-entering a cell that is already being evaluated or verified yields
+#CYCLE!.  A nested verification or evaluation that runs out of Python
+stack unwinds to the outermost read, which brings the deeper cell
+current first and retries with the generator rewound, so chains of any
+depth compute at the default recursion limit and draw each RAND number
+once, in the order of plain recursion wherever that fits on the stack.
+Booleans are numbers (0 is false, everything else true).
 
 The interpreter here is the semantic reference: compiled function bodies
 must agree with it bit for bit, so both take every scalar operator from
@@ -27,6 +34,7 @@ the one table in ``values`` and read areas through ``codegen.read_area``.
 
 from __future__ import annotations
 
+import gc
 import math
 import time
 
@@ -42,6 +50,7 @@ from .values import (
     ERROR_REF, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
     FunctionValue, Number, Text, Value, choose_index, error_nan,
     fconcat_values, fdiv, from_double_or_nan, to_double_or_nan, truth,
+    value_key,
 )
 
 __all__ = [
@@ -369,39 +378,64 @@ def default_registry() -> Registry:
 # cells have one or two readers, and a list is a quarter of a set's size.
 _LIST_READERS = 8
 
+# ``Cell.verified_at`` of a formula cell that must be evaluated again.
+_DIRTY = -1
+
+# A recalculation that queued more cells than this ends with a collection
+# of the garbage collector's youngest generation.  Early cutoff allocates
+# little, so the collector's count often stays just below its threshold
+# after such a recalculation, and the pause then falls in the next
+# operation that allocates, such as a SPECIALIZE, instead of here.
+_COLLECT_AFTER = 1000
+
 
 class _TooDeep(Exception):
-    """A nested evaluation ran out of Python stack; its args are the
-    (addr, cell) it did not evaluate."""
+    """A nested verification or evaluation ran out of Python stack; its
+    arg is the cell it did not bring current."""
 
 
 class Cell:
-    """A cell's content, its memoized value and the cells that read it.
+    """A cell's content, its memoized value and its edges in the support
+    graph.
 
     ``content`` is a Value for constants, an Expr for formulas, and None
-    for an empty cell that a formula read.  ``readers`` holds the cells
-    whose evaluation read this one since it last changed: None until the
-    first read, then a list, or a set once the list is long.
+    for an empty cell that a formula read.  ``inputs`` lists the cells the
+    last evaluation read, in read order, each once; ``readers`` mirrors
+    it: the cells whose ``inputs`` hold this one (None until the first
+    read, then a list, or a set once the list is long).  ``changed_at`` is
+    the workbook clock when the value last changed; ``verified_at`` is the
+    clock when a formula cell was last evaluated or found unchanged, or
+    _DIRTY when it must be evaluated again.
     """
 
-    __slots__ = ("content", "cached", "cached_gen", "readers", "sheet", "key")
+    __slots__ = ("content", "cached", "cached_gen", "verified_at",
+                 "changed_at", "inputs", "readers", "sheet", "key")
 
     def __init__(self, content, sheet: str, key: tuple[int, int]):
         self.content = content
         self.cached = None
         self.cached_gen = -1
+        self.verified_at = _DIRTY
+        self.changed_at = 0
+        self.inputs = ()
         self.readers = None
         self.sheet = sheet
         self.key = key              # (col, row)
 
     def add_reader(self, reader: "Cell") -> None:
+        """Record that ``reader`` read this cell, once, in both directions.
+        The input goes first, so a read cut off by the stack's end leaves
+        at worst an input without its reader edge, which ``_detach``
+        allows for."""
         readers = self.readers
         if readers is None:
+            reader.inputs.append(self)
             self.readers = [reader]
-        elif type(readers) is set:
-            readers.add(reader)
         elif reader not in readers:
-            if len(readers) < _LIST_READERS:
+            reader.inputs.append(self)
+            if type(readers) is set:
+                readers.add(reader)
+            elif len(readers) < _LIST_READERS:
                 readers.append(reader)
             else:
                 self.readers = {*readers, reader}
@@ -438,11 +472,14 @@ class Workbook:
         self.specializer = peval.Specializer(
             self, limit=spec_limit, strict_simplify=strict_simplify)
         self.diagnostics: list[str] = []
+        self._clock = 0                     # ticks on each invalidation
         self._reader: Cell | None = None    # the cell being evaluated
         self._inflight: set[Cell] = set()
-        self._pending: list[Cell] = []      # formula cells to recompute
+        self._attempt: list[Cell] = []      # brought current by this attempt
+        self._pending: list[Cell] = []      # formula cells to bring current
         self._volatile: set[Cell] = set()
         self._fn_users: set[Cell] = set()   # cells that used the function table
+        self._defines: dict[Cell, int] = {}     # DEFINE cell -> its function
         # (sheet, col, row) -> the Cell recording the readers of an empty
         # cell; it becomes the real cell when that address is set.
         self._absent: dict[tuple[str, int, int], Cell] = {}
@@ -455,7 +492,7 @@ class Workbook:
         sheet = Sheet(name, kind)
         self.sheets[name] = sheet
         # Cells that read this sheet before it existed got #REF!.
-        self._invalidate([c for k, c in self._absent.items() if k[0] == name])
+        self._changed([c for k, c in self._absent.items() if k[0] == name])
         return sheet
 
     def sheet(self, name: str) -> Sheet | None:
@@ -463,7 +500,9 @@ class Workbook:
 
     def set_cell(self, addr: CellAddr, text: str) -> None:
         """Set a cell from source text: a formula or a constant.  The next
-        recalculation recomputes it and every cell that read it."""
+        recalculation evaluates a formula and verifies every cell that
+        read this one; a constant equal, bit for bit, to the value its
+        readers saw reaches none of them."""
         sheet = self.sheets[addr.sheet]
         content = parse_content(text)
         key = (addr.col, addr.row)
@@ -472,14 +511,25 @@ class Workbook:
             cell = self._absent.pop((addr.sheet,) + key, None) \
                 or Cell(None, addr.sheet, key)
             sheet.cells[key] = cell
+        seen = cell.content if isinstance(cell.content, Value) else cell.cached
         cell.content = content
-        cell.cached = None
-        self._invalidate([cell])
+        self._detach(cell)
+        if isinstance(content, Value):
+            cell.cached, cell.inputs = None, ()
+            if seen is None or value_key(seen) != value_key(content):
+                self._changed([cell])
+        else:
+            # Every evaluation refills this one list: no new object per
+            # evaluation survives to burden the garbage collector.
+            cell.cached, cell.inputs = seen, []
+            self._invalidate([cell])
         if sheet.kind == "function":
-            # Every cell that used the function table: a function it
-            # reached may compute differently now.
+            # The cell may have been a DEFINE, and a function that any
+            # cell using the function table reached may compute
+            # differently now.
+            self._set_define(cell, None)
             users, self._fn_users = self._fn_users, set()
-            self._invalidate(list(users))
+            self._invalidate(users)
 
     def log_diagnostic(self, message: str) -> None:
         """Record a message unless the same one is still pending: a broken
@@ -501,13 +551,43 @@ class Workbook:
         if self._reader is not None:
             self._fn_users.add(self._reader)
 
-    def _invalidate(self, stack: list) -> None:
-        """Mark the cells in ``stack`` (which this consumes) and every cell
-        that transitively read them as not current, and queue the formula
-        cells among them."""
+    def _set_define(self, cell: Cell, fn_id: int | None) -> None:
+        """Record the function the DEFINE cell ``cell`` installs (None:
+        none).  A function it installed before, and that no other DEFINE
+        cell installs, loses its body: its id stays reserved, so linked
+        calls and stored closures read #NAME?, and its residuals leave the
+        specializer's cache.  Any change recomputes every cell that used
+        the function table."""
+        old = self._defines.pop(cell, None)
+        if fn_id is not None:
+            self._defines[cell] = fn_id
+        if old == fn_id:
+            return
+        if old is not None and old not in self._defines.values():
+            self.function_table.uninstall(old)
+            self.specializer.invalidate(old)
+        users, self._fn_users = self._fn_users, set()
+        self._invalidate(users)
+
+    def _changed(self, cells: list) -> None:
+        """Stamp constants or empty cells whose value changed, and mark
+        every cell that transitively read them unverified."""
+        self._invalidate(cells)
+        for cell in cells:
+            cell.changed_at = self._clock
+
+    def _invalidate(self, cells) -> None:
+        """Mark ``cells`` dirty and every cell that transitively read them
+        unverified, and queue the formula cells among them.  A cell that
+        is not current has no current reader, so the walk stops there.
+        The clock ticks, so every value that changes from here on is
+        newer than every check made before."""
+        self._clock += 1
         gen, pending = self.generation, self._pending
+        stack = list(cells)
         for cell in stack:
             cell.cached_gen = -1
+            cell.verified_at = _DIRTY
         while stack:
             cell = stack.pop()
             if isinstance(cell.content, Expr):
@@ -518,14 +598,29 @@ class Workbook:
                     if r.cached_gen == gen:
                         r.cached_gen = -1
                         stack.append(r)
-                readers.clear()     # kept for the re-evaluated readers
+
+    def _detach(self, cell: Cell) -> None:
+        """Forget the cell's recorded inputs and their reader edges to it.
+        An empty cell that nothing reads any more is dropped.  Each input
+        goes only after its edge, so a detach cut off by the stack's end
+        can run again."""
+        inputs = cell.inputs
+        while inputs:
+            inp = inputs[-1]
+            readers = inp.readers
+            if cell in readers:
+                readers.remove(cell)
+            if not readers and inp.content is None:
+                self._absent.pop((inp.sheet,) + inp.key, None)
+            inputs.pop()
 
     # -- evaluation
 
     def get_value(self, addr: CellAddr) -> Value:
-        """A cell's value, evaluated first unless it is current.  A read
-        made while a formula cell evaluates records that cell as a reader,
-        also when the value is memoized and when the cell is empty."""
+        """A cell's value, brought current first (see ``_refresh``).  A read
+        made while a formula cell evaluates is recorded as an input of that
+        cell, also when the value is memoized and when the cell is
+        empty."""
         sheet = self.sheets.get(addr.sheet)
         cell = None if sheet is None else sheet.cells.get((addr.col, addr.row))
         reader = self._reader
@@ -552,59 +647,110 @@ class Workbook:
                 self._volatile.add(reader)
             return ERROR_CYCLE
         if reader is None:
-            return self._evaluate_outermost(addr, cell)
-        # Evaluated here, not in a helper, so that each nested cell costs
-        # as few Python frames as plain recursion.
-        self._reader = cell
-        self._inflight.add(cell)
+            return self._evaluate_outermost(cell, addr)
+        return self._refresh(cell, addr)
+
+    def _refresh(self, cell: Cell, addr: CellAddr | None = None) -> Value:
+        """Bring a formula cell that is neither current nor in flight up to
+        date, and return its value.
+
+        An unverified cell first brings its recorded inputs current, in
+        read order, and keeps its value when none of them changed since it
+        read them.  It stops at the first that did: the evaluation then
+        reads the rest in its own order, so cells come current, and RAND
+        draws, in the order a recalculation of every cell would give.  A
+        dirty cell, or one with a changed input, is evaluated; a new value
+        equal to the old one bit for bit leaves the cell unchanged for its
+        readers."""
+        inflight, reader, gen = self._inflight, self._reader, self.generation
+        inflight.add(cell)
         try:
+            since = cell.verified_at
+            if since != _DIRTY:
+                for inp in cell.inputs:
+                    if inp.cached_gen != gen and isinstance(inp.content, Expr):
+                        if inp in inflight:
+                            break   # a cycle: the evaluation reads #CYCLE!
+                        self._refresh(inp)
+                    if inp.changed_at > since:
+                        break
+                else:
+                    cell.verified_at = self._clock
+                    cell.cached_gen = gen
+                    self._attempt.append(cell)
+                    return cell.cached
+            cell.verified_at = _DIRTY       # until the evaluation completes
+            self._detach(cell)
+            self._reader = cell
+            if addr is None:
+                addr = CellAddr(cell.sheet, *cell.key)
             v = eval_expr(cell.content, addr, self)
         except RecursionError:
-            raise _TooDeep(addr, cell) from None
+            raise _TooDeep(cell) from None
         finally:
-            self._inflight.discard(cell)
+            inflight.discard(cell)
             self._reader = reader
-        cell.cached = v
-        cell.cached_gen = self.generation
-        return v
+        old = cell.cached
+        if old is None or value_key(v) != value_key(old):
+            cell.cached = v
+            cell.changed_at = self._clock
+        # else the old object stays: a new one would only survive into the
+        # garbage collector's young generation and make its next pass long.
+        cell.verified_at = self._clock
+        cell.cached_gen = gen
+        self._attempt.append(cell)
+        return cell.cached
 
-    def _evaluate_outermost(self, addr: CellAddr, cell: Cell) -> Value:
-        """Evaluate a cell outside any other cell's evaluation.  A nested
-        read that runs out of Python stack unwinds to here; the cell it
-        read is evaluated first, with the stack free, then the cell that
-        read it is retried.  Cells waiting for a retry stay in flight and
-        read as #CYCLE!."""
-        todo = [(addr, cell)]
+    def _evaluate_outermost(self, cell: Cell, addr: CellAddr | None) -> Value:
+        """Bring a cell current outside any other cell's evaluation.  A
+        nested verification or evaluation that runs out of Python stack
+        unwinds to here, and the attempt is undone: the generator goes
+        back to its state when the attempt began, and every cell the
+        attempt brought current, which may hold a number drawn since, is
+        dirty again.  The cell that could not be reached is brought
+        current first, with the stack free, and then the attempt is
+        retried, so each number is drawn once.  Cells waiting for a retry
+        stay in flight and read as #CYCLE!."""
+        todo = []           # cells waiting for a retry, outermost first
+        attempt = self._attempt
         try:
-            while todo:
-                addr, cell = todo[-1]
-                self._reader = cell
-                self._inflight.add(cell)
+            while True:
+                state = self.rng.state
+                attempt.clear()
                 try:
-                    v = eval_expr(cell.content, addr, self)
-                except _TooDeep as deeper:
-                    todo.append(deeper.args)
+                    self._refresh(cell, addr)
+                except _TooDeep as ex:
+                    self.rng.state = state
+                    self._invalidate(attempt)
+                    deeper = ex.args[0]
+                    if deeper is cell:      # too deep with the stack free
+                        raise RecursionError(
+                            "formula nested too deeply") from None
+                    self._inflight.add(cell)
+                    todo.append((cell, addr))
+                    cell, addr = deeper, None
                     continue
-                finally:
-                    self._reader = None
-                cell.cached = v
-                cell.cached_gen = self.generation
-                self._inflight.discard(cell)
-                todo.pop()
-            return v
+                if not todo:
+                    return cell.cached
+                cell, addr = todo.pop()
         finally:
-            for _, waiting in todo:
+            for waiting, _ in todo:
                 self._inflight.discard(waiting)
 
     def recalculate(self) -> None:
-        """Recompute what changed since the last recalculation: the cells
-        set since then, every volatile cell (each DEFINE among them, so
-        every DEFINE re-runs) and every cell that transitively read one of
-        those.  No other cell is evaluated.  DEFINE cells run first, then
-        the others in sheet order, row by row, as a recalculation of every
+        """Bring current what changed since the last recalculation.  Every
+        volatile cell (each DEFINE among them, so every DEFINE re-runs)
+        and every formula cell set since then is dirty, and so is every
+        cell that used the function table after an edit on a function
+        sheet; a dirty cell is evaluated.  Every cell that transitively
+        read one of them is only unverified: it is evaluated only when one
+        of its recorded inputs changed value, bit for bit, and otherwise
+        keeps its value, so the recalculation stops at unchanged values.
+        No other cell is looked at.  DEFINE cells run first, then the
+        others in sheet order, row by row, as a recalculation of every
         cell would visit them, so RAND draws come out the same."""
         volatile, self._volatile = self._volatile, set()
-        self._invalidate(list(volatile))
+        self._invalidate(volatile)
         for sheet in self.sheets.values():
             if sheet.kind != "function":
                 continue
@@ -617,11 +763,16 @@ class Workbook:
         # Cleared only at the end: if an evaluation raises, the next
         # recalculation still finds every cell this one did not reach.
         pending = self._pending
-        pending.sort(key=lambda c: (rank.get(c.sheet, -1), c.key[1], c.key[0]))
+        # Row by row, then sheet by sheet (the sort is stable): two sorts
+        # on int keys take less time than one on tuples.
+        pending.sort(key=_row_major)
+        pending.sort(key=lambda c: rank.get(c.sheet, -1))
         for cell in pending:
             if cell.cached_gen != self.generation and cell.sheet in rank \
                     and isinstance(cell.content, Expr):
-                self.get_value(CellAddr(cell.sheet, *cell.key))
+                self._evaluate_outermost(cell, None)
+        if len(pending) > _COLLECT_AFTER:
+            gc.collect(0)
         pending.clear()
 
     def eval_formula(self, text: str, sheet: str | None = None) -> Value:
@@ -630,6 +781,11 @@ class Workbook:
             sheet = next(iter(self.sheets), None)
         at = CellAddr(sheet, 1, 1)
         return eval_expr(parse_formula(text), at, self)
+
+
+def _row_major(cell: Cell) -> int:
+    col, row = cell.key
+    return row << 32 | col
 
 
 def parse_content(text: str):
@@ -753,6 +909,17 @@ def _eval_call(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
 
 
 def _eval_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
+    v = _run_define(e, at, wb)
+    if wb._reader is not None:
+        # Whatever the outcome, a function this cell installed before and
+        # no longer does goes away.
+        table = wb.function_table
+        wb._set_define(wb._reader, table.lookup_name(v.value)
+                       if type(v) is Text else None)
+    return v
+
+
+def _run_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
     args = e.args
     ok = (len(args) >= 2 and type(args[0]) is TextConst
           and all(type(a) is CellRef for a in args[1:]))

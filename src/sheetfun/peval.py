@@ -27,7 +27,6 @@ being specialized.
 
 from __future__ import annotations
 
-import struct
 import sys
 
 from . import codegen, sdf
@@ -38,10 +37,10 @@ from .formula import (
     const_expr,
 )
 from .values import (
-    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ArrayValue,
-    ErrorValue, FunctionValue, HOLE, Number, Text, Value, choose_index,
-    display, fconcat_values, from_double_or_nan, make_number,
-    to_double_or_nan, truth,
+    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ErrorValue,
+    FunctionValue, HOLE, Number, Text, Value, choose_index, display,
+    fconcat_values, from_double_or_nan, make_number, to_double_or_nan, truth,
+    value_key,
 )
 
 __all__ = ["Specializer", "Static", "Dyn"]
@@ -94,24 +93,6 @@ def _const_value(e: Expr) -> Value | None:
 
 def _expr_r(r) -> Expr:
     return r.expr if type(r) is Dyn else const_expr(r.value)
-
-
-def _vkey(v):
-    """Hashable pattern key; numbers compare by bit pattern."""
-    if v is HOLE:
-        return ("?",)
-    t = type(v)
-    if t is Number:
-        return ("n", struct.pack("<d", v.value))
-    if t is Text:
-        return ("t", v.value)
-    if t is ErrorValue:
-        return ("e", v.name)
-    if t is FunctionValue:
-        return ("f", v.target, tuple(_vkey(c) for c in v.captured))
-    if t is ArrayValue:
-        return ("a", tuple(tuple(_vkey(x) for x in row) for row in v.rows))
-    return ("o", id(v))
 
 
 def _is_zero(r) -> bool:
@@ -210,7 +191,7 @@ class Specializer:
     def _ensure(self, target: int, pattern: tuple):
         table = self.wb.function_table
         info = table.get(target)
-        pkey = (target, tuple(_vkey(p) for p in pattern))
+        pkey = (target, tuple(value_key(p) for p in pattern))
         hit = self.cache.get(pkey)
         if hit is not None:
             if self.trace is not None:

@@ -20,8 +20,11 @@ matter.  A builtin's name, or a form the parser takes itself, cannot be
 defined.  CLOSURE builds FunctionValues with #NA arguments as holes;
 APPLY fills the holes and calls the target.  The table binds names to
 stable ids, so redefinition replaces the body under the same id and
-existing closures pick up the new meaning.  Every call by id goes
-through ``FunctionTable.call``, the tail-call trampoline.
+existing closures pick up the new meaning.  A body lives as long as the
+DEFINE cell that installed it: when that cell is overwritten, fails or
+names another function, the body goes and the id stays reserved, so
+calls and closures read #NAME?.  Every call by id goes through
+``FunctionTable.call``, the tail-call trampoline.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ class FunctionTable:
 
     def install(self, info: SdfInfo) -> None:
         self._infos[info.id] = info
+
+    def uninstall(self, fn_id: int) -> None:
+        """Remove a body; the name keeps its id, so calls read #NAME?."""
+        self._infos.pop(fn_id, None)
 
     def unbind(self, name: str) -> None:
         fn_id = self._name_to_id.pop(name, None)

@@ -8,6 +8,8 @@ The scalar operators are defined here once, in ``BINARY_OPS``,
 ``COMPARE_OPS``, ``UNARY_OPS``, ``truth`` and ``choose_index``; the
 interpreter, compiled code and the specializer's folds all take them
 from here, so their results agree bit for bit by construction.
+``value_key`` is the one definition of two values being the same, bit
+for bit; the specializer's cache and recalculation's cutoff use it.
 
 Numbers travel through compiled code as raw Python floats.  Errors are
 encoded as quiet NaNs carrying the error's registry index in the low 32
@@ -27,7 +29,7 @@ __all__ = [
     "Value", "Number", "Text", "ErrorValue", "ArrayValue", "FunctionValue",
     "HOLE", "make_number", "set_box_hook",
     "to_double_or_nan", "from_double_or_nan", "error_nan",
-    "display", "literal", "format_number",
+    "display", "literal", "format_number", "value_key",
     "fdiv", "fpow", "fneg", "fnot", "fconcat_values",
     "BINARY_OPS", "COMPARE_OPS", "UNARY_OPS", "truth", "choose_index",
     "ERROR_NA", "ERROR_DIV0", "ERROR_VALUE", "ERROR_NUM", "ERROR_NAME",
@@ -243,6 +245,27 @@ class FunctionValue(Value):
 
     def __repr__(self):
         return f"FunctionValue({display(self)})"
+
+
+def value_key(v):
+    """A hashable key that equals another value's key exactly when the two
+    values agree bit for bit: Numbers by bit pattern (so 0 and -0 differ),
+    errors by name, closures by target and captured keys (HOLE included).
+    The specializer's cache and recalculation's cutoff both use it."""
+    t = type(v)
+    if t is Number:
+        return _pack(v.value)
+    if t is Text:
+        return ("t", v.value)
+    if t is ErrorValue:
+        return ("e", v.name)
+    if t is FunctionValue:
+        return ("f", v.target, tuple(value_key(c) for c in v.captured))
+    if t is ArrayValue:
+        return ("a", tuple(tuple(value_key(x) for x in row) for row in v.rows))
+    if v is HOLE:
+        return ("?",)
+    return ("o", id(v))
 
 
 # --- boxing ------------------------------------------------------------------

@@ -244,16 +244,17 @@ def _bits(v):
     return (type(v).__name__, display(v))
 
 
-def _load(contents: dict, seed: int = 0) -> Workbook:
+def _load(contents: dict, seed: int = 0, clean: bool = True) -> Workbook:
     """A fresh workbook holding ``contents`` ({(sheet, ref): text}) after
-    one recalculation, which evaluates every cell."""
+    one recalculation, which evaluates every cell.  Unless ``clean`` is
+    off, no DEFINE may fail."""
     w = Workbook(seed=seed)
     w.add_sheet("S")
     w.add_sheet("F", kind="function")
     for (sheet, ref), text in contents.items():
         w.set_cell(a1(sheet, ref), text)
     w.recalculate()
-    assert not w.diagnostics, w.diagnostics
+    assert not (clean and w.diagnostics), w.diagnostics
     return w
 
 
@@ -266,6 +267,21 @@ def _edit(w: Workbook, contents: dict, edits: dict) -> None:
 
 def _grid(w: Workbook, refs) -> dict:
     return {ref: _bits(w.get_value(a1("S", ref))) for ref in refs}
+
+
+def _check_edges(w: Workbook) -> None:
+    """Every reverse edge mirrors a recorded input, each input is recorded
+    once, and every empty cell kept for its readers still has one."""
+    cells = [c for sheet in w.sheets.values() for c in sheet.cells.values()]
+    cells += w._absent.values()
+    known = set(cells)
+    for c in cells:
+        assert len(set(c.inputs)) == len(c.inputs)
+        for inp in c.inputs:
+            assert inp in known and c in inp.readers
+        for r in c.readers or ():
+            assert r in known and c in r.inputs
+    assert all(c.readers for c in w._absent.values())
 
 
 # SCALE reads the ordinary cell S!H1 from its body; ADDP is called through
@@ -334,6 +350,98 @@ def test_random_edits_match_a_fresh_workbook():
                                      else _constant(rng))
         _edit(w, contents, edits)
         assert _grid(w, grid) == _grid(_load(contents), grid), (step, edits)
+        _check_edges(w)
+
+
+# Each DEFINE cell of LIB_CELLS: its own text, an overwrite, a rename.
+DEFINE_EDITS = {
+    ("F", "B3"): ['=DEFINE("SCALE", B2, B1)', "5", '=DEFINE("SCALE2", B2, B1)'],
+    ("F", "C4"): ['=DEFINE("ADDP", C3, C1, C2)', '"x"',
+                  '=DEFINE("ADDQ", C3, C1, C2)'],
+}
+
+
+def test_random_define_edits_match_a_fresh_workbook():
+    # The sibling of the test above, with DEFINE cells overwritten, renamed
+    # and restored: a function lives exactly as long as its DEFINE.
+    rng = random.Random(20261019)
+    contents = dict(LIB_CELLS)
+    contents[("S", "H1")] = "1"
+    for col in _COLS[:-1]:
+        for row in range(1, 9):
+            contents[("S", f"{col}{row}")] = (
+                _formula(rng) if rng.random() < 0.6 else _constant(rng))
+    contents[("S", "H2")] = "=SCALE2(H1)"
+    contents[("S", "H3")] = '=APPLY(CLOSURE("ADDQ", H1, #NA), 2)'
+    grid = [f"{col}{row}" for col in _COLS for row in range(1, 9)] + [
+        "H1", "H2", "H3"]
+    w = _load(contents)
+    for step in range(60):
+        edits = {}
+        for _ in range(rng.randint(1, 3)):
+            pick = rng.random()
+            if pick < 0.3:
+                at = rng.choice(sorted(DEFINE_EDITS))
+                edits[at] = rng.choice(DEFINE_EDITS[at])
+            elif pick < 0.4:
+                edits[("F", "B2")] = rng.choice(SCALE_BODIES)
+            elif pick < 0.5:
+                edits[("S", "H1")] = _constant(rng)
+            else:
+                edits[("S", _ref(rng))] = (_formula(rng) if rng.random() < 0.4
+                                           else _constant(rng))
+        _edit(w, contents, edits)
+        assert _grid(w, grid) == _grid(_load(contents), grid), (step, edits)
+        _check_edges(w)
+
+
+# DBL is called from cells, through CLOSURE and APPLY, from a stored
+# closure, and from the body of DBL1.
+DBL_CELLS = {
+    ("F", "B1"): "0", ("F", "B2"): "=B1*2",
+    ("F", "B3"): '=DEFINE("DBL", B2, B1)',
+    ("F", "C1"): "0", ("F", "C2"): "=DBL(C1)+1",
+    ("F", "C3"): '=DEFINE("DBL1", C2, C1)',
+    ("S", "A1"): "=DBL(3)", ("S", "A2"): '=APPLY(CLOSURE("DBL", #NA), 4)',
+    ("S", "A3"): '=CLOSURE("DBL", 5)', ("S", "A4"): "=APPLY(A3)",
+    ("S", "A5"): "=DBL1(3)", ("S", "A6"): "=A1+1",
+}
+
+
+@pytest.mark.parametrize("ref, text", [
+    ("B3", "5"),                            # the DEFINE is overwritten
+    ("B2", "=B2"),                          # the DEFINE fails: static cycle
+    ("B3", '=DEFINE("TPL", B2, B1)'),       # the DEFINE names another function
+])
+def test_a_function_goes_with_its_define(ref, text):
+    refs = ["A1", "A2", "A4", "A5", "A6"]
+    contents = dict(DBL_CELLS)
+    w = _load(contents)
+    assert _grid(w, refs) == {r: _bits(Number(x)) for r, x in
+                              zip(refs, (6.0, 8.0, 10.0, 7.0, 7.0))}
+    table = w.function_table
+    dbl = table.lookup_name("DBL")
+    stored = w.get_value(a1("S", "A3"))
+    assert table.apply(w.specializer.specialize(stored), [], w) == Number(10.0)
+    assert any(k[0] == dbl for k in w.specializer.cache)
+    contents[("F", ref)] = text
+    w.set_cell(a1("F", ref), text)
+    w.get_value(a1("S", "A6"))      # read before the DEFINE runs again
+    w.recalculate()
+    assert _grid(w, refs) == _grid(_load(contents, clean=False), refs)
+    assert w.get_value(a1("S", "A1")) is ERROR_NAME
+    assert w.get_value(a1("S", "A5")) is ERROR_NAME     # a linked call
+    # The id stays reserved, so a closure made before reads #NAME?.
+    assert table.lookup_name("DBL") == dbl and table.get(dbl) is None
+    assert table.apply(stored, [], w) is ERROR_NAME
+    assert not any(k[0] == dbl for k in w.specializer.cache)
+    if "TPL" in text:
+        assert w.eval_formula("=TPL(3)", "S") == Number(6.0)
+    _check_edges(w)
+    _edit(w, contents, {("F", ref): DBL_CELLS[("F", ref)]})
+    assert _grid(w, refs) == _grid(_load(contents), refs)
+    assert w.get_value(a1("S", "A5")) == Number(7.0)
+    assert table.apply(stored, [], w) == Number(10.0)
 
 
 def test_setting_an_empty_cell_that_was_read(wb):
@@ -492,6 +600,77 @@ def test_recalculation_skips_cells_no_edit_reached():
     assert w.get_value(a1("S", "A2")) == Number(5.0)
 
 
+def _counting_workbook():
+    """A workbook whose COUNT(x) returns x and counts its evaluations."""
+    counter = [0]
+
+    def tick(args, rt):
+        counter[0] += 1
+        return args[0]
+
+    reg = default_registry().clone()
+    reg.register(Builtin("COUNT", 1, 1, tick))
+    w = Workbook(registry=reg)
+    w.add_sheet("S")
+    w.add_sheet("F", kind="function")
+    return w, counter
+
+
+def test_redefinition_that_keeps_values_stops_at_the_callers():
+    w, counter = _counting_workbook()
+    fill(w, "F", {"B1": "0", "B2": "=B1*2", "B3": '=DEFINE("DBL", B2, B1)'})
+    fill(w, "S", {"A1": "=COUNT(DBL(3))", "A2": "=COUNT(A1+1)",
+                  "A3": "=COUNT(A2*2)", "B1": '=COUNT(APPLY(CLOSURE("DBL", 4)))',
+                  "B2": "=COUNT(B1)", "C1": "=COUNT(5)"})
+    w.recalculate()
+    assert counter[0] == 6
+    w.set_cell(a1("F", "B2"), "=2*B1")
+    w.recalculate()
+    assert counter[0] == 8          # A1 and B1 call DBL; nothing reads more
+    assert [w.get_value(a1("S", r)).value for r in ("A3", "B2")] == [14, 8]
+    w.set_cell(a1("F", "B2"), "=3*B1")
+    w.recalculate()
+    assert counter[0] == 13         # new values reach every reader
+    assert [w.get_value(a1("S", r)).value for r in ("A3", "B2")] == [20, 12]
+
+
+def test_an_unchanged_value_stops_the_recalculation():
+    w, counter = _counting_workbook()
+    fill(w, "S", {"A1": "2", "A2": "=COUNT(A1)*0", "A3": "=COUNT(A2)+1",
+                  "B1": "1", "B2": "=COUNT(IF(B1>0, 7, A1))",
+                  "B3": "=COUNT(B2)+1"})
+    w.recalculate()
+    assert counter[0] == 4
+    w.set_cell(a1("S", "A1"), "2.0")    # equal bit for bit: reaches nothing
+    w.recalculate()
+    assert counter[0] == 4
+    w.set_cell(a1("S", "A1"), "3")      # A2 stays 0, so A3 is kept
+    w.recalculate()
+    assert counter[0] == 5
+    w.set_cell(a1("S", "B1"), "2")      # the IF takes the same branch
+    w.recalculate()
+    assert counter[0] == 6
+    assert w.get_value(a1("S", "B3")) == Number(8.0)
+    w.set_cell(a1("S", "B1"), "0")      # now it reads A1
+    w.recalculate()
+    assert counter[0] == 8
+    assert w.get_value(a1("S", "B3")) == Number(4.0)
+    w.set_cell(a1("S", "A2"), "=0*COUNT(A1)")   # a formula with the same value
+    w.recalculate()
+    assert counter[0] == 9
+    assert w.get_value(a1("S", "A3")) == Number(1.0)
+
+
+def test_signed_zero_is_a_change():
+    w, counter = _counting_workbook()
+    fill(w, "S", {"A1": "0", "A2": "=COUNT(A1)", "A3": "=COUNT(A2)"})
+    w.recalculate()
+    w.set_cell(a1("S", "A1"), "-0")
+    w.recalculate()
+    assert counter[0] == 4
+    assert math.copysign(1.0, w.get_value(a1("S", "A3")).value) == -1.0
+
+
 def test_compiled_rand_keeps_its_caller_volatile():
     w = make_wb({"B1": "1", "B2": "1",
                  "B3": "=IF(RAND()<B1, B2, EXPSAMPLE(B1, B2+1))",
@@ -562,6 +741,62 @@ def test_deep_chain_at_the_default_recursion_limit():
     w.recalculate()
     assert w.get_value(CellAddr("S", 1, 1)) == Number(float(n + 1))
     assert sys.getrecursionlimit() == limit
+    # An edit that keeps the value: every other cell is verified, from the
+    # top down, and none is evaluated.
+    w.set_cell(CellAddr("S", 1, n - 1), f"=1+A{n}")
+    w.recalculate()
+    assert w.get_value(CellAddr("S", 1, 1)) == Number(float(n + 1))
+    assert sys.getrecursionlimit() == limit
+
+
+def _rand_chain(w: Workbook, col: str, n: int) -> None:
+    for i in range(1, n):
+        w.set_cell(a1("S", f"{col}{i}"), f"=RAND()+{col}{i + 1}*0")
+    w.set_cell(a1("S", f"{col}{n}"), "=RAND()")
+
+
+def test_deep_chain_retry_draws_each_number_once():
+    # The chain is too deep for the stack: attempts cut off by it are
+    # retried, and the generator goes back to where each attempt began.
+    n = 1000
+    w = Workbook(seed=3)
+    w.add_sheet("S")
+    _rand_chain(w, "B", n)
+    w.set_cell(a1("S", "A1"), "=B1*0+C1")   # reads the chain first
+    w.set_cell(a1("S", "C1"), "1")
+    rng = SplitMix64(3)
+    for _ in range(3):
+        # The first recalculation reaches the chain by evaluating A1, the
+        # others by verifying it.
+        w.recalculate()
+        for _ in range(n):
+            rng.next_u64()
+        assert w.rng.state == rng.state
+        drawn = {w.get_value(a1("S", f"B{i}")).value for i in range(1, n + 1)}
+        assert len(drawn) == n
+        assert w.get_value(a1("S", "A1")) == Number(1.0)
+
+
+def test_deep_chain_retry_undoes_what_the_attempt_computed():
+    # Each chain cell also reads a RAND cell beside it, which a cut-off
+    # attempt has already computed: it draws again in the retry, so every
+    # number is still drawn once and no two cells share one.
+    n = 500
+    w = Workbook(seed=4)
+    w.add_sheet("S")
+    for i in range(1, n + 1):
+        below = f"+A{i + 1}*0" if i < n else ""
+        w.set_cell(a1("S", f"A{i}"), f"=RAND()+B{i}{below}")
+        w.set_cell(a1("S", f"B{i}"), "=RAND()")
+    rng = SplitMix64(4)
+    for _ in range(2):
+        w.recalculate()
+        for _ in range(2 * n):
+            rng.next_u64()
+        assert w.rng.state == rng.state
+        drawn = {w.get_value(a1("S", f"{c}{i}")).value
+                 for c in "AB" for i in range(1, n + 1)}
+        assert len(drawn) == 2 * n
 
 
 def test_deep_chain_read_outside_a_recalculation():

@@ -11,7 +11,10 @@ from sheetfun.values import (
     ERROR_VALUE, ArrayValue, ErrorValue, FunctionValue, HOLE, Number, Text,
     display, error_nan, fconcat_values, fdiv, fneg, fpow, format_number,
     from_double_or_nan, literal, make_number, set_box_hook, to_double_or_nan,
+    value_key,
 )
+
+from test_operators import POOL
 
 SEVEN = [ERROR_NA, ERROR_DIV0, ERROR_VALUE, ERROR_NUM, ERROR_NAME,
          ERROR_REF, ERROR_CYCLE]
@@ -179,3 +182,57 @@ def test_display():
 def test_function_value_arity():
     fv = FunctionValue(1, "G", [HOLE, Number(2.0), HOLE])
     assert fv.arity == 2
+
+
+def _identical(a, b) -> bool:
+    """Bit-for-bit equality, written out independently of value_key."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is Number:
+        return bits(a.value) == bits(b.value)
+    if type(a) is FunctionValue:
+        return a.target == b.target and len(a.captured) == len(b.captured) \
+            and all(x is y if x is HOLE or y is HOLE else _identical(x, y)
+                    for x, y in zip(a.captured, b.captured))
+    if type(a) is ArrayValue:
+        return len(a.rows) == len(b.rows) and all(
+            len(r) == len(q) and all(map(_identical, r, q))
+            for r, q in zip(a.rows, b.rows))
+    return a == b
+
+
+def _copy(v):
+    """An equal value that is a different object (errors are interned)."""
+    if type(v) is Number:
+        return Number(v.value)
+    if type(v) is Text:
+        return Text(v.value)
+    if type(v) is FunctionValue:
+        return FunctionValue(v.target, v.name,
+                             [c if c is HOLE else _copy(c) for c in v.captured])
+    if type(v) is ArrayValue:
+        return ArrayValue([[_copy(x) for x in row] for row in v.rows])
+    return v
+
+
+def test_value_key_is_bit_equality_over_the_operator_pool():
+    # The specializer's cache and recalculation's cutoff both rest on it:
+    # two values get the same key exactly when they agree bit for bit.
+    pool = POOL + [
+        FunctionValue(3, "F", [Number(0.0), HOLE]),
+        FunctionValue(3, "F", [Number(-0.0), HOLE]),
+        FunctionValue(3, "F", [HOLE, Number(0.0)]),
+        FunctionValue(4, "F", [Number(0.0), HOLE]),
+        FunctionValue(3, "F", [Text("abc"), ERROR_NA]),
+        ArrayValue([[Number(0.0), Text("abc")]]),
+        ArrayValue([[Number(-0.0), Text("abc")]]),
+        ArrayValue([[Number(0.0)], [Text("abc")]]),
+        ArrayValue([[ERROR_NA, Text("")]]),
+    ]
+    for a in pool:
+        hash(value_key(a))
+        for b in pool + [_copy(v) for v in pool]:
+            assert (value_key(a) == value_key(b)) == _identical(a, b), (a, b)
+    assert value_key(Number(0.0)) != value_key(Number(-0.0))
+    assert value_key(Text("#NA")) != value_key(ERROR_NA)
+    assert value_key(HOLE) != value_key(ERROR_NA)
