@@ -26,7 +26,7 @@ import time
 
 from .engine import Workbook
 from .formula import CellAddr, FormulaError, letters_to_col, render_formula
-from .values import FunctionValue, Number, Text, Value, display, literal
+from .values import FunctionValue, Value, display, literal
 
 __all__ = ["benchmark", "load_workbook", "save_workbook", "main"]
 
@@ -93,12 +93,7 @@ def save_workbook(wb: Workbook, path: str) -> None:
         for addr in sheet.sorted_addrs():
             content = sheet.cell(addr).content
             if isinstance(content, Value):
-                if type(content) is Number:
-                    text = display(content)
-                elif type(content) is Text:
-                    text = literal(content)
-                else:
-                    text = display(content)
+                text = literal(content)
             else:
                 text = render_formula(content)
             out.append(f"{addr.local().text()} = {text}")

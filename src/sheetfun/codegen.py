@@ -9,6 +9,8 @@ drive translation:
 * to_double_proper: split proper numbers from NaNs at the site.
 * to_condition: branch on true/false/error with three continuations.
 
+One ``Const`` node carries every constant; its value's type picks the
+IR mnemonic (``const`` for a number, ``error``, ``text`` or ``value``).
 The continuation generators are invoked at most once per site, so
 branches share code instead of duplicating it.  Compiling a constant
 decides tests at code generation time: a constant condition collapses to
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
-    Comparison, ErrorConst, Expr, FunctionCall, If, MakeClosure,
-    NormalCellArea, NormalCellRef, NumberConst, Or, SdfCall, TextConst,
-    ValueConst,
+    Comparison, Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
+    NormalCellRef, Or, SdfCall,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
@@ -39,8 +40,8 @@ from .values import (
     to_double_or_nan,
 )
 
-__all__ = ["CompiledFunction", "TailCall", "compile_function", "read_area",
-           "UNSET"]
+__all__ = ["CompiledFunction", "TailCall", "compile_function", "is_numeric",
+           "read_area", "UNSET"]
 
 
 class _Unset:
@@ -80,14 +81,13 @@ _EMPTY: list = []
 class CompiledFunction:
     """Executable form of a function body plus its IR listing."""
 
-    __slots__ = ("fn_id", "name", "n_params", "n_slots", "n_memo", "steps",
-                 "out_step", "listing", "out_ir")
+    __slots__ = ("fn_id", "name", "n_slots", "n_memo", "steps", "out_step",
+                 "listing", "out_ir")
 
-    def __init__(self, fn_id, name, n_params, n_slots, n_memo, steps,
-                 out_step, listing, out_ir):
+    def __init__(self, fn_id, name, n_slots, n_memo, steps, out_step,
+                 listing, out_ir):
         self.fn_id = fn_id
         self.name = name
-        self.n_params = n_params
         self.n_slots = n_slots
         self.n_memo = n_memo
         self.steps = steps
@@ -169,12 +169,11 @@ def _key(addr: CellAddr) -> tuple[int, int]:
 
 # --- numericness -------------------------------------------------------------
 
-def _is_numeric(e: Expr, cx: _Ctx) -> bool:
-    """Certainly numeric-or-error: safe to keep as a raw double."""
+def is_numeric(e: Expr, registry, numeric_cell) -> bool:
+    """Certainly numeric-or-error: safe to keep as a raw double.  A cell
+    reference is numeric when ``numeric_cell(key)`` says so."""
     t = type(e)
-    if t is NumberConst or t is ErrorConst:
-        return True
-    if t is ValueConst:
+    if t is Const:
         return type(e.value) in (Number, ErrorValue)
     if t in (Arith1, Comparison, And, Or):
         return True
@@ -183,17 +182,15 @@ def _is_numeric(e: Expr, cx: _Ctx) -> bool:
     if t is CachedExpr:
         return True
     if t is CellRef:
-        k = _key(e.addr)
-        if k in cx.args:
-            return False
-        slot = cx.slots.get(k)
-        return slot.numeric if slot is not None else False
+        return numeric_cell(_key(e.addr))
     if t is If:
-        return _is_numeric(e.then, cx) and _is_numeric(e.other, cx)
+        return (is_numeric(e.then, registry, numeric_cell)
+                and is_numeric(e.other, registry, numeric_cell))
     if t is Choose:
-        return all(_is_numeric(b, cx) for b in e.branches)
+        return all(is_numeric(b, registry, numeric_cell)
+                   for b in e.branches)
     if t is FunctionCall:
-        return cx.registry.get(e.name).numeric
+        return registry.get(e.name).numeric
     return False
 
 
@@ -201,29 +198,23 @@ def _is_numeric(e: Expr, cx: _Ctx) -> bool:
 
 def _certainly_proper(e: Expr) -> bool:
     """True when the expression cannot evaluate to a NaN."""
-    if type(e) is NumberConst:
-        return e.value == e.value
-    if type(e) is ValueConst and type(e.value) is Number:
-        return e.value.value == e.value.value
-    return False
+    return (type(e) is Const and type(e.value) is Number
+            and e.value.value == e.value.value)
 
 
 def compile_to_double(e: Expr, cx: _Ctx):
     """Compile to a step producing a raw double (errors as NaNs)."""
     t = type(e)
-    if t is NumberConst:
-        c = e.value
-        cx.emit(f"const {format_number(c)}")
-        return lambda fr: c
-    if t is ErrorConst:
-        c = error_nan(e.error)
-        cx.emit(f"error {e.error.name}")
-        return lambda fr: c
-    if t is TextConst or t is ValueConst:
-        v = Text(e.value) if t is TextConst else e.value
+    if t is Const:
+        v = e.value
         c = to_double_or_nan(v)
-        cx.emit(f"value {literal(v)}")
-        cx.emit("unwrap")
+        if type(v) is Number:
+            cx.emit(f"const {format_number(c)}")
+        elif type(v) is ErrorValue:
+            cx.emit(f"error {v.name}")
+        else:
+            cx.emit(f"value {literal(v)}")
+            cx.emit("unwrap")
         return lambda fr: c
     if t is CellRef:
         return _ref_double(e, cx)
@@ -415,9 +406,9 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
     continuation finds the offending Value in ``fr.scratch``.
     """
     t = type(e)
-    if t is NumberConst or (t is ValueConst and type(e.value) is Number):
-        c = e.value if t is NumberConst else e.value.value
+    if t is Const and type(e.value) in (Number, ErrorValue):
         # Constant: decide now, emit only the surviving branch.
+        c = to_double_or_nan(e.value)
         if c != c:
             err = from_double_or_nan(c)
             cx.emit(f"error {err.name}")
@@ -427,14 +418,6 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
                 return bad(fr)
             return step
         return gen_t() if c != 0.0 else gen_f()
-    if t is ErrorConst:
-        err = e.error
-        cx.emit(f"error {err.name}")
-        bad = gen_bad()
-        def step(fr):
-            fr.scratch = err
-            return bad(fr)
-        return step
     if t is Arith1 and e.op == "NOT":
         # NOT in condition position: swap the branches, no code emitted.
         return compile_to_condition(e.arg, cx, gen_f, gen_t, gen_bad)
@@ -568,22 +551,15 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
     """Compile to a step producing a boxed Value (or a TailCall token in
     tail position)."""
     t = type(e)
-    if t is NumberConst:
-        c = e.value
-        cx.emit(f"const {format_number(c)}")
-        cx.emit("box")
-        return lambda fr: make_number(c)
-    if t is TextConst:
-        v = Text(e.value)
-        cx.emit(f'text {literal(v)}')
-        return lambda fr: v
-    if t is ErrorConst:
-        v = e.error
-        cx.emit(f"error {v.name}")
-        return lambda fr: v
-    if t is ValueConst:
+    if t is Const:
         v = e.value
-        cx.emit(f"value {literal(v)}")
+        if type(v) is Number:
+            # Boxed afresh on every evaluation, like any computed number.
+            return _boxed_const_step(cx, v.value)
+        if type(v) is ErrorValue:
+            cx.emit(f"error {v.name}")
+        else:
+            cx.emit(f"{'text' if type(v) is Text else 'value'} {literal(v)}")
         return lambda fr: v
     if t is CellRef:
         return _ref_value(e, cx)
@@ -786,9 +762,13 @@ def compile_function(info, registry) -> CompiledFunction:
 
     body, out = info.body[:-1], info.body[-1]
 
+    def numeric_cell(k):
+        slot = cx.slots.get(k)      # a parameter has no slot
+        return slot is not None and slot.numeric
+
     # Decide slot representation cell by cell, in evaluation order.
     for cell in body:
-        numeric = _is_numeric(cell.expr, cx)
+        numeric = is_numeric(cell.expr, registry, numeric_cell)
         cx.slots[_key(cell.addr)] = _Slot(len(cx.slots), numeric, cell.lazy)
 
     steps = []
@@ -838,6 +818,5 @@ def compile_function(info, registry) -> CompiledFunction:
     header = (f"func {info.name} id={info.id} params={len(info.inputs)} "
               f"slots={len(cx.slots)} memo={cx.n_memo}")
     listing = "\n".join([header] + cx.lines) + "\n"
-    return CompiledFunction(info.id, info.name, len(info.inputs),
-                            len(cx.slots), cx.n_memo, steps, out_step,
-                            listing, out_ir)
+    return CompiledFunction(info.id, info.name, len(cx.slots), cx.n_memo,
+                            steps, out_step, listing, out_ir)

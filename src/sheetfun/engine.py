@@ -41,9 +41,8 @@ import time
 from . import codegen, peval, sdf
 from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
-    Comparison, ErrorConst, Expr, FormulaError, FunctionCall, If,
-    MakeClosure, NormalCellArea, NormalCellRef, NumberConst, Or, SdfCall,
-    TextConst, ValueConst, parse_formula,
+    Comparison, Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
+    NormalCellRef, Or, SdfCall, parse_formula,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
@@ -136,9 +135,6 @@ class Registry:
 
     def get(self, name: str) -> Builtin | None:
         return self._by_name.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
 
     def clone(self) -> "Registry":
         r = Registry()
@@ -283,10 +279,17 @@ def _minmax_fn(pick):
 
 def _sum_fn(args, rt):
     try:
-        total = math.fsum(_each_number(args))
+        ds = list(_each_number(args))
     except _ArgError as ex:
         return ex.error
-    return Number(total)
+    try:
+        return Number(math.fsum(ds))
+    except (OverflowError, ValueError):
+        # fsum raises on overflow and on inf-inf; answer as chained + does.
+        total = 0.0
+        for d in ds:
+            total += d
+        return from_double_or_nan(total)
 
 
 def _concat_fn(args, rt):
@@ -325,7 +328,7 @@ def _benchmark_fn(args, rt):
     fv, count = args[0], args[1]
     if type(fv) is not FunctionValue or fv.arity != 0:
         return ERROR_VALUE
-    if type(count) is not Number or count.value < 1:
+    if type(count) is not Number or not 1 <= count.value < math.inf:
         return ERROR_VALUE
     return Number(benchmark(rt, fv, int(count.value)))
 
@@ -809,13 +812,7 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     """Evaluate an expression tree at a cell address (the reference point
     for sheet-local references)."""
     t = type(e)
-    if t is NumberConst:
-        return Number(e.value)
-    if t is TextConst:
-        return Text(e.value)
-    if t is ErrorConst:
-        return e.error
-    if t is ValueConst:
+    if t is Const:
         return e.value
     if t is CellRef or t is NormalCellRef:
         addr = e.addr
@@ -921,7 +918,8 @@ def _eval_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
 
 def _run_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
     args = e.args
-    ok = (len(args) >= 2 and type(args[0]) is TextConst
+    ok = (len(args) >= 2 and type(args[0]) is Const
+          and type(args[0].value) is Text
           and all(type(a) is CellRef for a in args[1:]))
     if not ok:
         wb.log_diagnostic(f"DEFINE at {at.text()}: expected "
@@ -932,7 +930,7 @@ def _run_define(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
         wb.log_diagnostic(f"DEFINE at {at.text()}: only allowed on a "
                           "function sheet")
         return ERROR_VALUE
-    name = args[0].value
+    name = args[0].value.value
     out = args[1].addr.on(at.sheet)
     ins = [a.addr.on(at.sheet) for a in args[2:]]
     try:

@@ -7,6 +7,10 @@ operator precedence is, loosest first: comparisons, ``&``, ``+ -``,
 is ``(-2)^2``).  Unqualified references like ``A1`` are sheet-local;
 ``Sheet1!A1`` names an ordinary sheet explicitly.
 
+One node, ``Const``, carries every constant: it holds the spreadsheet
+value itself (number, text, error, array or closure), and the renderer
+writes it with ``values.literal``, so a negative zero reads back signed.
+
 ``parse_formula`` and ``render_formula`` round-trip: parsing a rendered
 tree yields an equal tree (cache wrappers excepted, they render
 transparently).
@@ -17,18 +21,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .values import (
-    ArrayValue, ErrorValue, Number, Text, Value, format_number, literal,
-)
+from .values import ArrayValue, ErrorValue, Number, Text, Value, literal
 
 __all__ = [
     "CellAddr", "FormulaError", "parse_formula", "parse_expr",
     "render_expr", "render_formula", "col_to_letters", "letters_to_col",
-    "Expr", "NumberConst", "TextConst", "ErrorConst", "ValueConst",
-    "CellRef", "NormalCellRef", "NormalCellArea", "Arith1", "Arith2",
-    "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
+    "Expr", "Const", "CellRef", "NormalCellRef", "NormalCellArea", "Arith1",
+    "Arith2", "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
     "If", "Choose", "And", "Or", "CachedExpr", "LEAF_TYPES", "children",
-    "map_children", "walk", "const_expr", "PARSER_FORMS",
+    "map_children", "walk", "PARSER_FORMS",
 ]
 
 
@@ -86,23 +87,9 @@ class Expr:
 
 
 @dataclass(frozen=True)
-class NumberConst(Expr):
-    value: float
-
-
-@dataclass(frozen=True)
-class TextConst(Expr):
-    value: str
-
-
-@dataclass(frozen=True)
-class ErrorConst(Expr):
-    error: ErrorValue
-
-
-@dataclass(frozen=True)
-class ValueConst(Expr):
-    """An arbitrary constant value (array, closure) embedded in a tree."""
+class Const(Expr):
+    """A constant: any spreadsheet value (number, text, error, array,
+    closure) embedded in a tree."""
 
     value: Value
 
@@ -240,8 +227,7 @@ _SHAPES = {
     Apply: (lambda e: (e.fn, *e.args), lambda e, c: Apply(c[0], c[1:])),
     CachedExpr: (lambda e: (e.inner,), lambda e, c: CachedExpr(c[0])),
 }
-LEAF_TYPES = frozenset((NumberConst, TextConst, ErrorConst, ValueConst,
-                        CellRef, NormalCellRef, NormalCellArea))
+LEAF_TYPES = frozenset((Const, CellRef, NormalCellRef, NormalCellArea))
 _SHAPES.update((t, (_leaf, None)) for t in LEAF_TYPES)
 
 
@@ -269,17 +255,6 @@ def walk(e: Expr):
     yield e
     for c in children(e):
         yield from walk(c)
-
-
-def const_expr(v: Value) -> Expr:
-    """The constant node for a value."""
-    if type(v) is Number:
-        return NumberConst(v.value)
-    if type(v) is Text:
-        return TextConst(v.value)
-    if type(v) is ErrorValue:
-        return ErrorConst(v)
-    return ValueConst(v)
 
 
 # --- lexer -------------------------------------------------------------------
@@ -394,9 +369,9 @@ class _Parser:
             self.next()
             e = self.unary()
             # Fold the sign into number literals so -5 parses the same as
-            # a rendered NumberConst(-5).
-            if type(e) is NumberConst:
-                return NumberConst(-e.value)
+            # a rendered Const(Number(-5)).
+            if type(e) is Const and type(e.value) is Number:
+                return Const(Number(-e.value.value))
             return Arith1("-", e)
         if self.at_op("+"):
             self.next()
@@ -406,11 +381,11 @@ class _Parser:
     def primary(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "number":
-            return NumberConst(float(val))
+            return Const(Number(float(val)))
         if kind == "string":
-            return TextConst(val[1:-1].replace('""', '"'))
+            return Const(Text(val[1:-1].replace('""', '"')))
         if kind == "error":
-            return ErrorConst(ErrorValue.intern(val))
+            return Const(ErrorValue.intern(val))
         if kind == "ident":
             return self.after_ident(val, pos)
         if kind == "op" and val == "(":
@@ -509,7 +484,7 @@ class _Parser:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise FormulaError("ragged array literal", pos)
-        return ValueConst(ArrayValue(rows))
+        return Const(ArrayValue(rows))
 
     def array_element(self) -> Value:
         neg = False
@@ -564,15 +539,9 @@ def render_formula(e: Expr) -> str:
 
 def _render(e: Expr, ctx: int) -> str:
     t = type(e)
-    if t is NumberConst:
-        s = format_number(e.value)
+    if t is Const:
+        s = literal(e.value)
         return s if not s.startswith("-") or ctx < _LVL_UNARY else f"({s})"
-    if t is TextConst:
-        return '"' + e.value.replace('"', '""') + '"'
-    if t is ErrorConst:
-        return e.error.name
-    if t is ValueConst:
-        return literal(e.value)
     if t is CellRef or t is NormalCellRef:
         return e.addr.text()
     if t is NormalCellArea:

@@ -32,15 +32,13 @@ import sys
 from . import codegen, sdf
 from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellRef, Choose, Comparison,
-    ErrorConst, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
-    const_expr,
+    Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
+    NormalCellRef, Or, SdfCall,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ErrorValue,
-    FunctionValue, HOLE, Number, Text, Value, choose_index, display,
-    fconcat_values, from_double_or_nan, make_number, to_double_or_nan, truth,
-    value_key,
+    FunctionValue, HOLE, Number, Value, choose_index, display,
+    fconcat_values, from_double_or_nan, to_double_or_nan, truth, value_key,
 )
 
 __all__ = ["Specializer", "Static", "Dyn"]
@@ -59,12 +57,15 @@ class Static:
 
 
 class Dyn:
-    """A subterm only known as a residual expression."""
+    """A subterm only known as a residual expression.  ``numeric`` marks a
+    reference to a residual cell that certainly holds a number or an
+    error (``codegen.is_numeric`` asks it of cell references)."""
 
-    __slots__ = ("expr",)
+    __slots__ = ("expr", "numeric")
 
-    def __init__(self, expr: Expr):
+    def __init__(self, expr: Expr, numeric: bool = False):
         self.expr = expr
+        self.numeric = numeric
 
     def __repr__(self):
         return f"Dyn({self.expr!r})"
@@ -78,21 +79,15 @@ class _SpecLimit(Exception):
         self.name = name
 
 
-def _const_value(e: Expr) -> Value | None:
-    t = type(e)
-    if t is NumberConst:
-        return Number(e.value)
-    if t is TextConst:
-        return Text(e.value)
-    if t is ErrorConst:
-        return e.error
-    if t is ValueConst:
-        return e.value
-    return None
-
-
 def _expr_r(r) -> Expr:
-    return r.expr if type(r) is Dyn else const_expr(r.value)
+    return r.expr if type(r) is Dyn else Const(r.value)
+
+
+# The static right operands that give back the other operand, bit for bit,
+# when that operand is a number or an error: NaN arithmetic keeps the
+# payload, and x-0 keeps a negative zero where x+0 and x-(-0) do not.
+_RIGHT_UNIT = {op: value_key(Number(d))
+               for op, d in (("-", 0.0), ("*", 1.0), ("/", 1.0), ("^", 1.0))}
 
 
 def _is_zero(r) -> bool:
@@ -253,7 +248,7 @@ class Specializer:
             if type(r) is Static:
                 env[k] = r
             else:
-                env[k] = Dyn(CellRef(cell.addr))
+                env[k] = Dyn(CellRef(cell.addr), self._numeric(r, env))
                 res_cells[k] = r.expr
         out = info.body[-1]
         ro = self._pe(out.expr, env, False)
@@ -277,13 +272,7 @@ class Specializer:
 
     def _pe(self, e: Expr, env: dict, dyn: bool):
         t = type(e)
-        if t is NumberConst:
-            return Static(make_number(e.value))
-        if t is TextConst:
-            return Static(Text(e.value))
-        if t is ErrorConst:
-            return Static(e.error)
-        if t is ValueConst:
+        if t is Const:
             return Static(e.value)
         if t is CellRef:
             r = env.get(_key(e.addr))
@@ -335,46 +324,36 @@ class Specializer:
             d = BINARY_OPS[op](to_double_or_nan(l.value),
                                to_double_or_nan(r.value))
             return Static(from_double_or_nan(d))
-        s = self._simplify(op, l, r)
+        s = self._simplify(op, l, r, env)
         if s is not None:
             return s
         return Dyn(Arith2(op, _expr_r(l), _expr_r(r)))
 
-    def _simplify(self, op, l, r):
-        """Arithmetic identities on residual operands.
+    def _numeric(self, r: Dyn, env: dict) -> bool:
+        return codegen.is_numeric(r.expr, self.wb.registry,
+                                  lambda k: env[k].numeric)
 
-        The multiply-by-zero pair deletes the dynamic operand, losing an
-        error it might have produced; --strict-simplify turns the pair
-        off.  The identity rules keep errors (NaN arithmetic preserves
-        the payload) but assume the operand is numeric.
+    def _simplify(self, op, l, r, env):
+        """Arithmetic identities on residual operands; one of ``l`` and
+        ``r`` is static.
+
+        x-0, x*1, 1*x, x/1 and x^1 apply only to an operand known to be
+        a number or an error, where they are exact; 1^x and x^0 are 1
+        for any x.  The multiply-by-zero pair deletes the dynamic
+        operand, losing an error it might have produced and the sign of
+        a zero; --strict-simplify turns the pair off.
         """
-        if op == "+":
-            if _is_zero(r):
-                return l
-            if _is_zero(l):
-                return r
-        elif op == "-":
-            if _is_zero(r):
-                return l
-            if _is_zero(l):
-                return Dyn(Arith1("-", r.expr))   # r is dynamic here
-        elif op == "*":
-            if _is_one(r):
-                return l
-            if _is_one(l):
-                return r
+        if op == "*":
             if not self.strict_simplify and (_is_zero(r) or _is_zero(l)):
                 return Static(Number(0.0))
-        elif op == "/":
-            if _is_one(r):
-                return l
-        elif op == "^":
-            if _is_one(r):
-                return l
-            if _is_one(l):
-                return Static(Number(1.0))    # pow(1, x) is 1, even for NaN
-            if _is_zero(r):
-                return Static(Number(1.0))    # pow(x, 0) is 1, even for NaN
+            if _is_one(l) and self._numeric(r, env):
+                return r
+        elif op == "^" and (_is_one(l) or _is_zero(r)):
+            return Static(Number(1.0))    # 1^x and x^0, even for NaN
+        unit = _RIGHT_UNIT.get(op)
+        if (unit is not None and type(r) is Static
+                and value_key(r.value) == unit and self._numeric(l, env)):
+            return l
         return None
 
     def _pe_comparison(self, e: Comparison, env, dyn):
@@ -428,13 +407,13 @@ class Specializer:
                     if not residual:
                         return Static(tr)
                     # Error decides: later arguments never run.
-                    residual.append(ErrorConst(tr))
+                    residual.append(Const(tr))
                     break
                 if tr == (not is_and):
                     if not residual:
                         return Static(Number(decide))
                     # Deciding constant after dynamics: truncate here.
-                    residual.append(NumberConst(decide))
+                    residual.append(Const(Number(decide)))
                     break
                 continue        # neutral constant: drop
             residual.append(r.expr)
@@ -513,9 +492,8 @@ class Specializer:
                                        tuple(_expr_r(r) for r in reduced)))
         res_id, res_name, dyn_pos = self._ensure(target, tuple(pattern))
         rinfo = table.get(res_id)
-        if rinfo is not None and len(rinfo.body) == 1:
-            cv = _const_value(rinfo.body[0].expr)
-            if cv is not None:
-                return Static(cv)
+        if rinfo is not None and len(rinfo.body) == 1 \
+                and type(rinfo.body[0].expr) is Const:
+            return Static(rinfo.body[0].expr.value)
         args = tuple(_expr_r(reduced[i]) for i in dyn_pos)
         return Dyn(SdfCall(res_id, res_name, args))

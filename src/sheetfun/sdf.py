@@ -35,13 +35,12 @@ from collections import Counter
 from . import codegen
 from .formula import (
     LEAF_TYPES, PARSER_FORMS, And, Arith1, CachedExpr, CellAddr, CellRef,
-    Choose, Comparison, ErrorConst, Expr, FunctionCall, If, NormalCellArea,
-    NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
-    children, const_expr, map_children, walk,
+    Choose, Comparison, Const, Expr, FunctionCall, If, NormalCellArea,
+    NormalCellRef, Or, SdfCall, children, map_children, walk,
 )
 from .values import (
     ERROR_NA, ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE,
-    Text, Value,
+    Number, Text, Value,
 )
 
 __all__ = ["ComputeCell", "SdfInfo", "FunctionTable", "DefineError",
@@ -224,10 +223,10 @@ def define(wb, name: str, out: CellAddr, ins: list[CellAddr]) -> SdfInfo:
     def load(key):
         cell = sheet.cells.get(key)
         if cell is None:
-            return NumberConst(0.0)
+            return Const(Number(0.0))
         content = cell.content
         if isinstance(content, Value):
-            return const_expr(content)
+            return Const(content)
         return _resolve(content, sheet.name, table, wb.registry)
 
     try:
@@ -350,8 +349,7 @@ def _inline_single_use(cellmap, order, out_key, input_keys) -> None:
 
 
 def _is_trivial(e: Expr) -> bool:
-    return type(e) in (NumberConst, TextConst, ErrorConst, ValueConst,
-                       CellRef, CachedExpr)
+    return type(e) in (Const, CellRef, CachedExpr)
 
 
 def _rebuild_with_wraps(e: Expr, need: set, nodemap: dict) -> Expr:
@@ -414,7 +412,7 @@ def _literal_expr(lit, nodemap) -> Expr:
         return Arith1("NOT", nodemap[id(lit[1])])
     node = nodemap[id(lit[1])]
     return Comparison("=", FunctionCall("TRUNC", (node,)),
-                      NumberConst(float(lit[2])))
+                      Const(Number(float(lit[2]))))
 
 
 def _and_expr(parts: list) -> Expr:

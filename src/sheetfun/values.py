@@ -336,9 +336,13 @@ def format_number(d: float) -> str:
 
 
 def literal(v: Value) -> str:
-    """Formula-style rendering: text quoted, so values nest unambiguously."""
+    """Formula-style rendering that reads back as the same value: text
+    quoted, so values nest unambiguously, and a negative zero signed."""
     if type(v) is Text:
         return '"' + v.value.replace('"', '""') + '"'
+    if type(v) is Number and v.value == 0.0 \
+            and math.copysign(1.0, v.value) < 0:
+        return "-0"
     return display(v)
 
 

@@ -9,7 +9,7 @@ from sheetfun import Number, Text, Workbook
 from sheetfun.cli import (
     benchmark, load_workbook, main, read_into, repl, save_workbook,
 )
-from sheetfun.values import ERROR_NA, ERROR_VALUE
+from sheetfun.values import ERROR_NA, ERROR_VALUE, value_key
 
 from conftest import a1, fill
 
@@ -54,6 +54,32 @@ def test_save_reload_is_a_fixpoint(tmp_path):
     assert p1.read_text() == p2.read_text()
     assert wb2.get_value(a1("Data", "B1")) == Number(7.0)
     assert wb2.eval_formula("=FAC(6)") == Number(720.0)
+
+
+SIGNED_ZERO = """\
+sheet Z
+A1 = -0
+A2 = =-0
+A3 = =A1*1
+A4 = =2^-0
+A5 = ={-0,1}
+A6 = =-A1*(-0)
+A7 = =A4&"-0"
+"""
+
+
+def test_save_reload_keeps_every_value_bit_for_bit(tmp_path):
+    path = tmp_path / "zero.wbk"
+    path.write_text(DEMO + SIGNED_ZERO, encoding="utf-8")
+    wb = load_workbook(str(path))
+    assert value_key(wb.get_value(a1("Z", "A2"))) == value_key(Number(-0.0))
+    saved = tmp_path / "saved.wbk"
+    save_workbook(wb, str(saved))
+    wb2 = load_workbook(str(saved))
+    for sheet in wb.sheets.values():
+        for addr in sheet.sorted_addrs():
+            want = value_key(wb.get_value(addr))
+            assert value_key(wb2.get_value(addr)) == want, addr
 
 
 def test_read_into_rejects_bad_lines():

@@ -4,12 +4,15 @@ import pytest
 
 from sheetfun.formula import (
     And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose, Comparison,
-    ErrorConst, FormulaError, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, NumberConst, Or, TextConst, col_to_letters,
-    letters_to_col, parse_expr, parse_formula, render_expr, render_formula,
-    walk,
+    Const, FormulaError, FunctionCall, If, MakeClosure, NormalCellArea,
+    NormalCellRef, Or, col_to_letters, letters_to_col, parse_expr,
+    parse_formula, render_expr, render_formula, walk,
 )
-from sheetfun.values import ERROR_NA, ERROR_REF
+from sheetfun.values import ERROR_NA, ERROR_REF, ErrorValue, Number, Text
+
+
+def num(d: float) -> Const:
+    return Const(Number(d))
 
 
 def test_column_letters():
@@ -30,16 +33,16 @@ def test_addr_text():
 
 
 def test_parse_number_and_string():
-    assert parse_expr("42") == NumberConst(42.0)
-    assert parse_expr("3.5e2") == NumberConst(350.0)
-    assert parse_expr('"he said ""hi"""') == TextConst('he said "hi"')
+    assert parse_expr("42") == num(42.0)
+    assert parse_expr("3.5e2") == num(350.0)
+    assert parse_expr('"he said ""hi"""') == Const(Text('he said "hi"'))
 
 
 def test_parse_error_literals():
-    assert parse_expr("#NA") == ErrorConst(ERROR_NA)
-    assert parse_expr("#REF!") == ErrorConst(ERROR_REF)
+    assert parse_expr("#NA") == Const(ERROR_NA)
+    assert parse_expr("#REF!") == Const(ERROR_REF)
     e = parse_expr("#ERR:custom")
-    assert isinstance(e, ErrorConst) and e.error.name == "#ERR:custom"
+    assert e == Const(ErrorValue.intern("#ERR:custom"))
 
 
 def test_parse_refs():
@@ -53,11 +56,9 @@ def test_parse_refs():
 
 def test_precedence_shape():
     e = parse_expr("1+2*3")
-    assert e == Arith2("+", NumberConst(1.0),
-                       Arith2("*", NumberConst(2.0), NumberConst(3.0)))
+    assert e == Arith2("+", num(1.0), Arith2("*", num(2.0), num(3.0)))
     e = parse_expr("(1+2)*3")
-    assert e == Arith2("*", Arith2("+", NumberConst(1.0), NumberConst(2.0)),
-                       NumberConst(3.0))
+    assert e == Arith2("*", Arith2("+", num(1.0), num(2.0)), num(3.0))
     # Comparison binds loosest, concat sits between it and addition.
     e = parse_expr('1+2 = "a"&"b"')
     assert isinstance(e, Comparison)
@@ -67,17 +68,15 @@ def test_precedence_shape():
 
 def test_power_is_left_associative():
     e = parse_expr("2^3^2")
-    assert e == Arith2("^", Arith2("^", NumberConst(2.0), NumberConst(3.0)),
-                       NumberConst(2.0))
+    assert e == Arith2("^", Arith2("^", num(2.0), num(3.0)), num(2.0))
 
 
 def test_unary_minus():
-    assert parse_expr("-5") == NumberConst(-5.0)
+    assert parse_expr("-5") == num(-5.0)
     e = parse_expr("-B1")
     assert e == Arith1("-", CellRef(CellAddr(None, 2, 1)))
-    assert parse_expr("2^-2") == Arith2("^", NumberConst(2.0),
-                                        NumberConst(-2.0))
-    assert parse_expr("--5") == NumberConst(5.0)
+    assert parse_expr("2^-2") == Arith2("^", num(2.0), num(-2.0))
+    assert parse_expr("--5") == num(5.0)
 
 
 def test_special_forms():
@@ -99,7 +98,7 @@ def test_special_forms():
 
 def test_call_names_uppercased():
     e = parse_expr("sqrt(4)")
-    assert e == FunctionCall("SQRT", (NumberConst(4.0),))
+    assert e == FunctionCall("SQRT", (num(4.0),))
 
 
 def test_if_arity_checked():

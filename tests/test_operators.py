@@ -2,9 +2,9 @@
 
 The scalar operators live in ``values`` and every execution path takes
 them from there; these tests hold the interpreter, a compiled body with
-all arguments dynamic, and an all-static SPECIALIZE to the same result on
-a pool of awkward operands.  The child maps of ``formula`` are checked
-over every node type.
+all arguments dynamic, an all-static SPECIALIZE and the residuals with
+one operand static to the same result on a pool of awkward operands.
+The child maps of ``formula`` are checked over every node type.
 """
 
 import dataclasses
@@ -17,13 +17,12 @@ from sheetfun import CellAddr, Number, Text
 from sheetfun.engine import eval_expr
 from sheetfun.formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellRef, Choose, Comparison,
-    ErrorConst, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, NumberConst, Or, SdfCall, TextConst, ValueConst,
-    children, map_children, walk,
+    Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
+    NormalCellRef, Or, SdfCall, children, map_children, walk,
 )
 from sheetfun.values import (
-    BINARY_OPS, COMPARE_OPS, ERROR_DIV0, ERROR_NA, UNARY_OPS, ErrorValue,
-    FunctionValue,
+    BINARY_OPS, COMPARE_OPS, ERROR_DIV0, ERROR_NA, ERROR_NUM, ERROR_VALUE,
+    HOLE, UNARY_OPS, ErrorValue, FunctionValue,
 )
 
 from conftest import make_wb
@@ -57,7 +56,7 @@ def three_paths(body: str, operands, make_node):
     target = table.lookup_name("F")
     at = CellAddr("S", 1, 1)
     for args in operands:
-        interp = eval_expr(make_node(*[ValueConst(a) for a in args]), at, w)
+        interp = eval_expr(make_node(*[Const(a) for a in args]), at, w)
         compiled = table.call(target, list(args), w)
         res = w.specializer.specialize(FunctionValue(target, "F", args))
         assert res.target != target, "nothing was specialized"
@@ -98,22 +97,81 @@ def test_unary_operator_agrees_on_every_path(op):
 
 
 def test_choose_index_agrees_on_every_path():
-    branches = tuple(NumberConst(float(10 * k)) for k in (1, 2, 3))
+    branches = tuple(Const(Number(float(10 * k))) for k in (1, 2, 3))
     bad = mismatches("=CHOOSE(B1, 10, 20, 30)", [(a,) for a in POOL],
                      lambda i: Choose(i, branches))
     assert not bad, bad[:5]
 
 
+def test_sum_agrees_on_every_path_where_fsum_raises():
+    # math.fsum raises on overflow and on inf-inf; SUM answers as chained
+    # + does: an infinity, or #NUM!.
+    inf = math.inf
+    operands = [(Number(1e308), Number(1e308)),
+                (Number(-1e308), Number(-1e308)),
+                (Number(inf), Number(-inf)), (Number(-inf), Number(inf))]
+    want = [Number(inf), Number(-inf), ERROR_NUM, ERROR_NUM]
+    got = [r[1:] for r in three_paths(
+        "=SUM(B1, B2)", operands, lambda a, b: FunctionCall("SUM", (a, b)))]
+    assert got == [(v, v, v) for v in want]
+
+
+def test_benchmark_count_out_of_range_agrees_on_every_path():
+    # The count goes to int(); an infinite one is #VALUE!, as is a count
+    # below 1.  F's body times F(0), which is itself #VALUE! at once.
+    operands = [(Number(math.inf),), (Number(-math.inf),), (Number(0.5),),
+                (Text("abc"),), (ERROR_NA,)]
+    closure = MakeClosure(Const(Text("F")), (Const(Number(0.0)),))
+    body = '=BENCHMARK(CLOSURE("F", 0), B1)'
+    want = [ERROR_VALUE] * 4 + [ERROR_NA]
+    got = [r[1:] for r in three_paths(
+        body, operands, lambda n: FunctionCall("BENCHMARK", (closure, n)))]
+    assert got == [(v, v, v) for v in want]
+
+
+def mixed_mismatches(body, make_node):
+    """Operand pairs where a residual with one operand static and the
+    other dynamic disagrees with the interpreter.  The specializer's
+    identity rules act only here; strict simplification keeps the lossy
+    multiply-by-zero pair out."""
+    cells = {"B1": "0", "B2": "0", "B3": body,
+             "B4": '=DEFINE("F", B3, B1, B2)'}
+    w = make_wb(cells, strict_simplify=True)
+    table = w.function_table
+    target = table.lookup_name("F")
+    at = CellAddr("S", 1, 1)
+    bad = []
+    for a, b in PAIRS:
+        interp = eval_expr(make_node(Const(a), Const(b)), at, w)
+        for captured, dyn in (((a, HOLE), b), ((HOLE, b), a)):
+            fv = w.specializer.specialize(FunctionValue(target, "F",
+                                                        captured))
+            assert fv.target != target, "nothing was specialized"
+            got = table.apply(fv, [dyn], w)
+            if not same(interp, got):
+                bad.append((a, b, captured, interp, got))
+    return bad
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_binary_operator_with_one_static_operand_agrees(op):
+    bad = mixed_mismatches(f"=B1{op}B2", lambda l, r: Arith2(op, l, r))
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("op", COMPARE)
+def test_comparison_with_one_static_operand_agrees(op):
+    bad = mixed_mismatches(f"=B1{op}B2", lambda l, r: Comparison(op, l, r))
+    assert not bad, bad[:5]
+
+
 # --- child maps -----------------------------------------------------------
 
-A, B, C = NumberConst(1.0), TextConst("t"), CellRef(CellAddr(None, 2, 3))
+A, B, C = Const(Number(1.0)), Const(Text("t")), CellRef(CellAddr(None, 2, 3))
 AT = CellAddr("D", 1, 1)
 
 SAMPLES = {
-    NumberConst: A,
-    TextConst: B,
-    ErrorConst: ErrorConst(ERROR_NA),
-    ValueConst: ValueConst(Number(4.0)),
+    Const: A,
     CellRef: C,
     NormalCellRef: NormalCellRef(AT),
     NormalCellArea: NormalCellArea(AT, CellAddr("D", 2, 2)),
@@ -161,7 +219,7 @@ def test_map_children_replacement_keeps_type_and_fields(t):
     made = []
 
     def fresh(c):
-        made.append(NumberConst(float(len(made))))
+        made.append(Const(Number(float(len(made)))))
         return made[-1]
     new = map_children(e, fresh)
     assert type(new) is t

@@ -8,6 +8,7 @@ from sheetfun import Number, Text, Workbook
 from sheetfun.engine import Builtin, default_registry
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE,
+    value_key,
 )
 
 from conftest import (
@@ -174,24 +175,48 @@ def test_apply_and_closure_fold_when_static(define):
 
 # --- algebraic simplification ------------------------------------------------
 
-IDENT = ["arg 0", "return"]
-NEGATE = ["arg 0", "unwrap", "neg", "box", "return"]
+ABS = ["arg 0", "call ABS 1", "return"]
 ZERO = ["const 0", "box", "return"]
 ONE = ["const 1", "box", "return"]
 
+
+def kept(op, k, right=True):
+    """The residual listing of B1 op k (k op B1) when no rule fires."""
+    x, c = ["arg 0", "unwrap"], [f"const {k}"]
+    return (x + c if right else c + x) + [op, "box", "return"]
+
+
+NEG_ADD = ["arg 0", "unwrap", "neg", "const 0", "add", "box", "return"]
+ZERO_SUB_NEG = ["const 0", "arg 0", "unwrap", "neg", "sub", "box", "return"]
+NEG_SUB = ["arg 0", "unwrap", "neg", "const 0", "sub", "box", "return"]
+
 RULES = [
-    ("=B1+B2", 0, IDENT, 7.0),
-    ("=B2+B1", 0, IDENT, 7.0),
-    ("=B1-B2", 0, IDENT, 7.0),
-    ("=B2-B1", 0, NEGATE, -7.0),
-    ("=B1*B2", 1, IDENT, 7.0),
-    ("=B2*B1", 1, IDENT, 7.0),
+    # An argument may be text or a signed zero: no identity applies.
+    ("=B1+B2", 0, kept("add", 0), 7.0),
+    ("=B2+B1", 0, kept("add", 0, right=False), 7.0),
+    ("=B1-B2", 0, kept("sub", 0), 7.0),
+    ("=B2-B1", 0, kept("sub", 0, right=False), -7.0),
+    ("=B1*B2", 1, kept("mul", 1), 7.0),
+    ("=B2*B1", 1, kept("mul", 1, right=False), 7.0),
+    # x*0 is 0 for any operand, up to errors and signs.
     ("=B1*B2", 0, ZERO, 0.0),
     ("=B2*B1", 0, ZERO, 0.0),
-    ("=B1/B2", 1, IDENT, 7.0),
-    ("=B1^B2", 1, IDENT, 7.0),
+    # x/1 and x^1 on an argument: no rule fires either.
+    ("=B1/B2", 1, kept("div", 1), 7.0),
+    ("=B1^B2", 1, kept("pow", 1), 7.0),
+    # 1^x and x^0 are 1 for any operand.
     ("=B2^B1", 1, ONE, 1.0),
     ("=B1^B2", 0, ONE, 1.0),
+    # On an operand known to be a number or an error the exact ones fire.
+    ("=ABS(B1)-B2", 0, ABS, 7.0),
+    ("=ABS(B1)*B2", 1, ABS, 7.0),
+    ("=B2*ABS(B1)", 1, ABS, 7.0),
+    ("=ABS(B1)/B2", 1, ABS, 7.0),
+    ("=ABS(B1)^B2", 1, ABS, 7.0),
+    # x+0, 0-x and x-(-0) turn a negative zero into 0, numeric or not.
+    ("=-B1+B2", 0, NEG_ADD, -7.0),
+    ("=B2--B1", 0, ZERO_SUB_NEG, 7.0),
+    ("=(-B1)-B2", -0.0, NEG_SUB, -7.0),
 ]
 
 
@@ -202,7 +227,18 @@ def test_simplify_rule(body, k, ir, expect):
     fv = spec(w, f'=SPECIALIZE(CLOSURE("P", #NA, {k}))')
     assert out_ir(w, fv) == ir
     assert apply(w, fv, 7) == Number(expect)
-    assert apply(w, fv, 7) == call(w, "P", 7, k)
+    xs = [7] if ir is ZERO else [7, 0, -0.0, -2.5, "abc", ERROR_NA]
+    for x in xs:
+        assert value_key(apply(w, fv, x)) == value_key(call(w, "P", x, k))
+
+
+@pytest.mark.parametrize("b3,fires", [("=B1+1", True), ('=B1&""', False)])
+def test_identity_rule_on_a_residual_cell_reads_its_formula(b3, fires):
+    w = make_wb({"B1": "0", "B2": "0", "B3": b3, "B4": "=(B3*B2)&B3",
+                 "B5": '=DEFINE("P", B4, B1, B2)'})
+    fv = spec(w, '=SPECIALIZE(CLOSURE("P", #NA, 1))')
+    assert ("mul" not in out_ir(w, fv)) == fires
+    assert apply(w, fv, 2) == call(w, "P", 2, 1)
 
 
 def test_default_zero_product_drops_errors():

@@ -177,6 +177,10 @@ def test_display():
     fv = FunctionValue(9, "ADD", [Number(1.0), HOLE])
     assert display(fv) == "ADD(1,#NA)"
     assert literal(Text("say \"hi\"")) == '"say ""hi"""'
+    # A negative zero is signed where it must read back, not on display.
+    assert display(Number(-0.0)) == "0"
+    assert literal(Number(-0.0)) == "-0"
+    assert literal(Number(0.0)) == "0"
 
 
 def test_function_value_arity():
