@@ -153,6 +153,10 @@ class _Ctx:
     def mark(self, lab: str) -> None:
         self.lines.append(f"{lab}:")
 
+    def numeric_cell(self, k) -> bool:
+        slot = self.slots.get(k)    # a parameter has no slot
+        return slot is not None and slot.numeric
+
     def memo_index(self, node: CachedExpr) -> int:
         key = id(node)
         idx = self.memo_of.get(key)
@@ -202,6 +206,20 @@ def _certainly_proper(e: Expr) -> bool:
             and e.value.value == e.value.value)
 
 
+def _unboxed_call_exact(args, cx: _Ctx) -> bool:
+    """Whether a builtin's ``dfunc`` agrees with ``Builtin.invoke`` on
+    these arguments.  invoke returns the first error argument and dfunc
+    the first NaN; they differ when an argument that may be text (a
+    #VALUE! NaN once unboxed) comes before one that may be an error."""
+    maybe_text = False
+    for a in args:
+        if maybe_text and not _certainly_proper(a):
+            return False
+        maybe_text = maybe_text or not is_numeric(a, cx.registry,
+                                                  cx.numeric_cell)
+    return True
+
+
 def compile_to_double(e: Expr, cx: _Ctx):
     """Compile to a step producing a raw double (errors as NaNs)."""
     t = type(e)
@@ -234,7 +252,8 @@ def compile_to_double(e: Expr, cx: _Ctx):
     if t is FunctionCall:
         b = cx.registry.get(e.name)
         if b is not None and b.dfunc is not None \
-                and b.min_args == b.max_args == len(e.args):
+                and b.min_args == b.max_args == len(e.args) \
+                and _unboxed_call_exact(e.args, cx):
             sub = [compile_to_double(a, cx) for a in e.args]
             cx.emit(f"calld {e.name} {len(sub)}")
             dfunc = b.dfunc
@@ -762,13 +781,9 @@ def compile_function(info, registry) -> CompiledFunction:
 
     body, out = info.body[:-1], info.body[-1]
 
-    def numeric_cell(k):
-        slot = cx.slots.get(k)      # a parameter has no slot
-        return slot is not None and slot.numeric
-
     # Decide slot representation cell by cell, in evaluation order.
     for cell in body:
-        numeric = is_numeric(cell.expr, registry, numeric_cell)
+        numeric = is_numeric(cell.expr, registry, cx.numeric_cell)
         cx.slots[_key(cell.addr)] = _Slot(len(cx.slots), numeric, cell.lazy)
 
     steps = []

@@ -42,7 +42,7 @@ from . import codegen, peval, sdf
 from .formula import (
     And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
     Comparison, Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, Or, SdfCall, parse_formula,
+    NormalCellRef, Or, SdfCall, SIGNED_NUMBER_RE, parse_formula,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
@@ -800,10 +800,9 @@ def parse_content(text: str):
         return Text(stripped[1:-1].replace('""', '"'))
     if stripped.startswith("#"):
         return ErrorValue.intern(stripped)
-    try:
+    if SIGNED_NUMBER_RE.fullmatch(stripped):
         return Number(float(stripped))
-    except ValueError:
-        return Text(stripped)
+    return Text(stripped)
 
 
 # --- the interpreter ---------------------------------------------------------

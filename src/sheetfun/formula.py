@@ -29,7 +29,7 @@ __all__ = [
     "Expr", "Const", "CellRef", "NormalCellRef", "NormalCellArea", "Arith1",
     "Arith2", "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
     "If", "Choose", "And", "Or", "CachedExpr", "LEAF_TYPES", "children",
-    "map_children", "walk", "PARSER_FORMS",
+    "map_children", "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE",
 ]
 
 
@@ -259,10 +259,14 @@ def walk(e: Expr):
 
 # --- lexer -------------------------------------------------------------------
 
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+# A number token after an optional sign: the text of a numeric constant cell.
+SIGNED_NUMBER_RE = re.compile(r"[+-]?" + _NUMBER)
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+  | (?P<number>""" + _NUMBER + r""")
   | (?P<string>"(?:[^"]|"")*")
   | (?P<error>\#ERR:[^\s,;()]+|\#DIV/0!|\#VALUE!|\#NAME\?|\#NUM!|\#REF!|\#CYCLE!|\#NA)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)

@@ -7,9 +7,11 @@ own residual, shared through a per-workbook cache.  The cache entry is
 registered before the body is processed, so a recursive call with the
 same pattern becomes a call to the residual under construction.
 
-Static-only subterms are computed now, with the interpreter's exact
-semantics (the operator table in ``values``, so results match bit for
-bit).  A call whose arguments are all partly known is specialized in
+Reduction maps an expression to an expression.  A static subterm is a
+``Const``, its value computed now with the interpreter's exact semantics
+(the operator table in ``values`` and ``engine.eval_expr``, so results
+match bit for bit); any other subterm is its residual expression.  A
+call whose arguments are all partly known is specialized in
 turn; under dynamic control a recursive call is first generalized
 against the pattern currently being specialized, keeping a static
 argument only where its value is unchanged.  This cuts off unbounded
@@ -29,58 +31,28 @@ from __future__ import annotations
 
 import sys
 
-from . import codegen, sdf
+from . import codegen, engine, sdf
 from .formula import (
-    And, Apply, Arith1, Arith2, CachedExpr, CellRef, Choose, Comparison,
-    Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, Or, SdfCall,
+    And, Apply, Arith2, CachedExpr, CellRef, Choose, Comparison, Const,
+    Expr, FunctionCall, If, NormalCellArea, NormalCellRef, Or, SdfCall,
+    children, map_children,
 )
 from .values import (
-    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, UNARY_OPS, ErrorValue,
+    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, ErrorValue,
     FunctionValue, HOLE, Number, Value, choose_index, display,
     fconcat_values, from_double_or_nan, to_double_or_nan, truth, value_key,
 )
 
-__all__ = ["Specializer", "Static", "Dyn"]
+__all__ = ["Specializer"]
 
 
-class Static:
-    """A subterm whose value is known at specialization time."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Value):
-        self.value = value
-
-    def __repr__(self):
-        return f"Static({display(self.value)})"
-
-
-class Dyn:
-    """A subterm only known as a residual expression.  ``numeric`` marks a
-    reference to a residual cell that certainly holds a number or an
-    error (``codegen.is_numeric`` asks it of cell references)."""
-
-    __slots__ = ("expr", "numeric")
-
-    def __init__(self, expr: Expr, numeric: bool = False):
-        self.expr = expr
-        self.numeric = numeric
-
-    def __repr__(self):
-        return f"Dyn({self.expr!r})"
-
-
-_PRUNED = object()     # body cell statically unreachable
+_ZERO = Const(Number(0.0))
+_ONE = Const(Number(1.0))
 
 
 class _SpecLimit(Exception):
     def __init__(self, name):
         self.name = name
-
-
-def _expr_r(r) -> Expr:
-    return r.expr if type(r) is Dyn else Const(r.value)
 
 
 # The static right operands that give back the other operand, bit for bit,
@@ -91,12 +63,12 @@ _RIGHT_UNIT = {op: value_key(Number(d))
 
 
 def _is_zero(r) -> bool:
-    return (type(r) is Static and type(r.value) is Number
+    return (type(r) is Const and type(r.value) is Number
             and r.value.value == 0.0)
 
 
 def _is_one(r) -> bool:
-    return (type(r) is Static and type(r.value) is Number
+    return (type(r) is Const and type(r.value) is Number
             and r.value.value == 1.0)
 
 
@@ -118,7 +90,10 @@ class Specializer:
         self.strict_simplify = strict_simplify
         # (target id, pattern key) -> (residual id, name, dynamic positions)
         self.cache: dict = {}
-        self.active: list = []      # (target id, pattern tuple), innermost last
+        # The specializations in progress, innermost last: (target id,
+        # pattern tuple, keys of the residual cells of its body that
+        # certainly hold a number or an error).
+        self.active: list = []
         # Observer for cache hits, generalizations, new residuals and
         # limit trips; called with dicts keyed event/function/pattern/action.
         self.trace = None
@@ -207,7 +182,7 @@ class Specializer:
         # pattern resolves to the residual under construction.
         self.cache[pkey] = entry
         self._journal.append((pkey, res_id))
-        self.active.append((target, pattern))
+        self.active.append((target, pattern, set()))
         try:
             body = self._pe_body(info, pattern)
         finally:
@@ -225,40 +200,38 @@ class Specializer:
         return entry
 
     def _pe_body(self, info, pattern):
+        # env: cell key -> its Const, or a CellRef to the residual cell or
+        # dynamic input; a cell pruned as unreachable has no entry.
         env: dict = {}
         for addr, pv in zip(info.inputs, pattern):
-            k = _key(addr)
-            env[k] = Dyn(CellRef(addr)) if pv is HOLE else Static(pv)
+            env[_key(addr)] = CellRef(addr) if pv is HOLE else Const(pv)
         res_cells: dict = {}
         for cell in info.body[:-1]:
             k = _key(cell.addr)
             under_dyn = cell.lazy
             if cell.eval_cond is not None:
                 g = self._pe(cell.eval_cond, env, False)
-                if type(g) is Static:
+                if type(g) is Const:
                     d = to_double_or_nan(g.value)
                     if d != d or d == 0.0:
                         # Statically unreachable: drop the cell before
                         # looking at (or specializing) its formula.
-                        env[k] = _PRUNED
                         continue
                 else:
                     under_dyn = True
             r = self._pe(cell.expr, env, under_dyn)
-            if type(r) is Static:
+            if type(r) is Const:
                 env[k] = r
             else:
-                env[k] = Dyn(CellRef(cell.addr), self._numeric(r, env))
-                res_cells[k] = r.expr
+                env[k] = CellRef(cell.addr)
+                if self._numeric(r):
+                    self.active[-1][2].add(k)
+                res_cells[k] = r
         out = info.body[-1]
-        ro = self._pe(out.expr, env, False)
         out_key = _key(out.addr)
-        res_cells[out_key] = _expr_r(ro)
+        res_cells[out_key] = self._pe(out.expr, env, False)
         dyn_inputs = {_key(a) for a, p in zip(info.inputs, pattern)
                       if p is HOLE}
-        if out_key in dyn_inputs:
-            # Output cell doubles as a parameter: passthrough body.
-            return sdf.build_body(lambda k2: None, out_key, dyn_inputs)
 
         def load(k2):
             e = res_cells.get(k2)
@@ -270,20 +243,21 @@ class Specializer:
 
     # -- expression reduction
 
-    def _pe(self, e: Expr, env: dict, dyn: bool):
+    def _pe(self, e: Expr, env: dict, dyn: bool) -> Expr:
+        """Reduce ``e``: a static subterm is a ``Const``, anything else is
+        the residual expression.  ``dyn`` is true under dynamic control,
+        where a recursive call is generalized."""
         t = type(e)
         if t is Const:
-            return Static(e.value)
+            return e
         if t is CellRef:
             r = env.get(_key(e.addr))
-            if r is None or r is _PRUNED:
+            if r is None:
                 raise AssertionError(
                     f"reference to unavailable cell {e.addr.text()}")
             return r
         if t is NormalCellRef or t is NormalCellArea:
-            return Dyn(e)       # reads sheet state at call time
-        if t is Arith1:
-            return self._pe_arith1(e, env, dyn)
+            return e            # reads sheet state at call time
         if t is Arith2:
             return self._pe_arith2(e, env, dyn)
         if t is Comparison:
@@ -294,46 +268,47 @@ class Specializer:
             return self._pe_choose(e, env, dyn)
         if t is And or t is Or:
             return self._pe_and_or(e, env, dyn)
-        if t is FunctionCall:
-            return self._pe_builtin(e, env, dyn)
         if t is SdfCall:
             reduced = [self._pe(a, env, dyn) for a in e.args]
             return self._pe_call(e.target, e.name, reduced, dyn)
-        if t is MakeClosure:
-            return self._pe_closure(e, env, dyn)
         if t is Apply:
             return self._pe_apply(e, env, dyn)
         if t is CachedExpr:
             return self._pe(e.inner, env, dyn)
-        raise TypeError(f"cannot reduce {e!r}")
-
-    def _pe_arith1(self, e: Arith1, env, dyn):
-        r = self._pe(e.arg, env, dyn)
-        if type(r) is Static:
-            d = UNARY_OPS[e.op](to_double_or_nan(r.value))
-            return Static(from_double_or_nan(d))
-        return Dyn(Arith1(e.op, r.expr))
+        # Arith1, a builtin call or CLOSURE: every child is evaluated.
+        r = map_children(e, lambda c: self._pe(c, env, dyn))
+        args = children(r)
+        for a in args:
+            if type(a) is not Const:
+                return r
+        if t is FunctionCall:
+            b = self.wb.registry.get(e.name)
+            if not b.pure:
+                return r
+            return Const(b.invoke([a.value for a in args], self.wb))
+        # No child reads a cell, so no reference point is needed.
+        return Const(engine.eval_expr(r, None, self.wb))
 
     def _pe_arith2(self, e: Arith2, env, dyn):
         op = e.op
         l = self._pe(e.left, env, dyn)
         r = self._pe(e.right, env, dyn)
-        if type(l) is Static and type(r) is Static:
+        if type(l) is Const and type(r) is Const:
             if op == "&":
-                return Static(fconcat_values(l.value, r.value))
+                return Const(fconcat_values(l.value, r.value))
             d = BINARY_OPS[op](to_double_or_nan(l.value),
                                to_double_or_nan(r.value))
-            return Static(from_double_or_nan(d))
-        s = self._simplify(op, l, r, env)
+            return Const(from_double_or_nan(d))
+        s = self._simplify(op, l, r)
         if s is not None:
             return s
-        return Dyn(Arith2(op, _expr_r(l), _expr_r(r)))
+        return Arith2(op, l, r)
 
-    def _numeric(self, r: Dyn, env: dict) -> bool:
-        return codegen.is_numeric(r.expr, self.wb.registry,
-                                  lambda k: env[k].numeric)
+    def _numeric(self, r: Expr) -> bool:
+        return codegen.is_numeric(r, self.wb.registry,
+                                  self.active[-1][2].__contains__)
 
-    def _simplify(self, op, l, r, env):
+    def _simplify(self, op, l, r):
         """Arithmetic identities on residual operands; one of ``l`` and
         ``r`` is static.
 
@@ -345,135 +320,114 @@ class Specializer:
         """
         if op == "*":
             if not self.strict_simplify and (_is_zero(r) or _is_zero(l)):
-                return Static(Number(0.0))
-            if _is_one(l) and self._numeric(r, env):
+                return _ZERO
+            if _is_one(l) and self._numeric(r):
                 return r
         elif op == "^" and (_is_one(l) or _is_zero(r)):
-            return Static(Number(1.0))    # 1^x and x^0, even for NaN
+            return _ONE       # 1^x and x^0, even for NaN
         unit = _RIGHT_UNIT.get(op)
-        if (unit is not None and type(r) is Static
-                and value_key(r.value) == unit and self._numeric(l, env)):
+        if (unit is not None and type(r) is Const
+                and value_key(r.value) == unit and self._numeric(l)):
             return l
         return None
 
     def _pe_comparison(self, e: Comparison, env, dyn):
         l = self._pe(e.left, env, dyn)
         r = self._pe(e.right, env, dyn)
-        if type(l) is Static and type(r) is Static:
+        if type(l) is Const and type(r) is Const:
             da = to_double_or_nan(l.value)
             if da != da:
-                return Static(from_double_or_nan(da))
+                return Const(from_double_or_nan(da))
             db = to_double_or_nan(r.value)
             if db != db:
-                return Static(from_double_or_nan(db))
-            ok = COMPARE_OPS[e.op](da, db)
-            return Static(Number(1.0 if ok else 0.0))
-        return Dyn(Comparison(e.op, _expr_r(l), _expr_r(r)))
+                return Const(from_double_or_nan(db))
+            return _ONE if COMPARE_OPS[e.op](da, db) else _ZERO
+        return Comparison(e.op, l, r)
 
     def _pe_if(self, e: If, env, dyn):
         c = self._pe(e.cond, env, dyn)
-        if type(c) is Static:
+        if type(c) is Const:
             tr = truth(c.value)
             if isinstance(tr, Value):
-                return Static(tr)
+                return Const(tr)
             return self._pe(e.then if tr else e.other, env, dyn)
-        t = self._pe(e.then, env, True)
-        o = self._pe(e.other, env, True)
-        return Dyn(If(c.expr, _expr_r(t), _expr_r(o)))
+        return If(c, self._pe(e.then, env, True),
+                  self._pe(e.other, env, True))
 
     def _pe_choose(self, e: Choose, env, dyn):
         c = self._pe(e.index, env, dyn)
-        if type(c) is Static:
+        if type(c) is Const:
             d = to_double_or_nan(c.value)
             if d != d:
-                return Static(from_double_or_nan(d))
+                return Const(from_double_or_nan(d))
             k = choose_index(d, len(e.branches))
             if k is None:
-                return Static(ERROR_VALUE)
+                return Const(ERROR_VALUE)
             return self._pe(e.branches[k], env, dyn)
-        branches = tuple(_expr_r(self._pe(b, env, True)) for b in e.branches)
-        return Dyn(Choose(c.expr, branches))
+        return Choose(c, tuple(self._pe(b, env, True)
+                               for b in e.branches))
 
     def _pe_and_or(self, e, env, dyn):
         is_and = type(e) is And
-        decide = 0.0 if is_and else 1.0
+        decide = _ZERO if is_and else _ONE
         residual: list[Expr] = []
         under = dyn
         for a in e.args:
             r = self._pe(a, env, under)
-            if type(r) is Static:
+            if type(r) is Const:
                 tr = truth(r.value)
                 if isinstance(tr, Value):
                     if not residual:
-                        return Static(tr)
+                        return Const(tr)
                     # Error decides: later arguments never run.
                     residual.append(Const(tr))
                     break
                 if tr == (not is_and):
                     if not residual:
-                        return Static(Number(decide))
+                        return decide
                     # Deciding constant after dynamics: truncate here.
-                    residual.append(Const(Number(decide)))
+                    residual.append(decide)
                     break
                 continue        # neutral constant: drop
-            residual.append(r.expr)
+            residual.append(r)
             under = True
         if not residual:
-            return Static(Number(1.0 if is_and else 0.0))
+            return _ONE if is_and else _ZERO
         make = And if is_and else Or
-        return Dyn(make(tuple(residual)))
-
-    def _pe_builtin(self, e: FunctionCall, env, dyn):
-        b = self.wb.registry.get(e.name)
-        reduced = [self._pe(a, env, dyn) for a in e.args]
-        if b.pure and all(type(r) is Static for r in reduced):
-            return Static(b.invoke([r.value for r in reduced], self.wb))
-        return Dyn(FunctionCall(e.name, tuple(_expr_r(r) for r in reduced)))
-
-    def _pe_closure(self, e: MakeClosure, env, dyn):
-        f = self._pe(e.fn, env, dyn)
-        reduced = [self._pe(a, env, dyn) for a in e.args]
-        if type(f) is Static and all(type(r) is Static for r in reduced):
-            v = self.wb.function_table.make_closure(
-                f.value, [r.value for r in reduced])
-            return Static(v)
-        return Dyn(MakeClosure(_expr_r(f),
-                               tuple(_expr_r(r) for r in reduced)))
+        return make(tuple(residual))
 
     def _pe_apply(self, e: Apply, env, dyn):
         f = self._pe(e.fn, env, dyn)
         reduced = [self._pe(a, env, dyn) for a in e.args]
-        if type(f) is Static:
+        if type(f) is Const:
             fv = f.value
             if type(fv) is ErrorValue:
-                return Static(fv)
+                return f
             if type(fv) is not FunctionValue:
-                return Static(ERROR_VALUE)
+                return Const(ERROR_VALUE)
             if len(reduced) != fv.arity:
-                return Static(ERROR_VALUE)
+                return Const(ERROR_VALUE)
             merged = []
             it = iter(reduced)
             for c in fv.captured:
-                merged.append(next(it) if c is HOLE else Static(c))
+                merged.append(next(it) if c is HOLE else Const(c))
             return self._pe_call(fv.target, fv.name, merged, dyn)
-        return Dyn(Apply(f.expr, tuple(_expr_r(r) for r in reduced)))
+        return Apply(f, tuple(reduced))
 
     def _pe_call(self, target: int, name: str, reduced: list, dyn: bool):
         """A call with per-argument knowledge; the core decision point."""
         table = self.wb.function_table
         info = table.get(target)
         if info is None:
-            return Dyn(SdfCall(target, name,
-                               tuple(_expr_r(r) for r in reduced)))
+            return SdfCall(target, name, tuple(reduced))
         if len(reduced) != len(info.inputs):
-            return Static(ERROR_VALUE)
-        pattern = [r.value if type(r) is Static else HOLE for r in reduced]
+            return Const(ERROR_VALUE)
+        pattern = [r.value if type(r) is Const else HOLE for r in reduced]
         if all(p is HOLE for p in pattern):
-            return Dyn(SdfCall(target, name,
-                               tuple(_expr_r(r) for r in reduced)))
+            return SdfCall(target, name, tuple(reduced))
         if dyn:
             act = None
-            for at, ap in reversed(self.active):
+            for at, ap, _ in reversed(self.active):
                 if at == target:
                     act = ap
                     break
@@ -488,12 +442,10 @@ class Specializer:
                                f"widened from {_pattern_text(pattern)}")
                 pattern = gen
                 if all(p is HOLE for p in pattern):
-                    return Dyn(SdfCall(target, name,
-                                       tuple(_expr_r(r) for r in reduced)))
+                    return SdfCall(target, name, tuple(reduced))
         res_id, res_name, dyn_pos = self._ensure(target, tuple(pattern))
         rinfo = table.get(res_id)
         if rinfo is not None and len(rinfo.body) == 1 \
                 and type(rinfo.body[0].expr) is Const:
-            return Static(rinfo.body[0].expr.value)
-        args = tuple(_expr_r(reduced[i]) for i in dyn_pos)
-        return Dyn(SdfCall(res_id, res_name, args))
+            return rinfo.body[0].expr
+        return SdfCall(res_id, res_name, tuple(reduced[i] for i in dyn_pos))

@@ -8,7 +8,8 @@ callable function.  Compilation proceeds in steps:
 2. topologically sort them; static cycles are rejected,
 3. inline cells referenced exactly once (never inputs),
 4. attach evaluation conditions: a cell executes only when some
-   conditional path that references it is live.  Guard subterms shared
+   conditional path that references it is live (a path whose guard
+   reads anything but a number is not).  Guard subterms shared
    between a condition and its home expression are wrapped in CachedExpr
    so each is computed once per call.  Cells whose conditions would read
    slots that cannot be ordered first fall back to lazy on-demand slots,
@@ -120,7 +121,12 @@ class FunctionTable:
         self._name_to_id[name] = fn_id
 
     def lookup_name(self, name: str) -> int | None:
-        return self._name_to_id.get(canonical_name(name))
+        # Every key is its own canonical name, so a name found as given
+        # needs no canonical_name (the parser upper-cases call names).
+        fn_id = self._name_to_id.get(name)
+        if fn_id is None:
+            fn_id = self._name_to_id.get(canonical_name(name))
+        return fn_id
 
     def get(self, fn_id: int) -> SdfInfo | None:
         return self._infos.get(fn_id)
@@ -419,8 +425,20 @@ def _and_expr(parts: list) -> Expr:
     return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
-def _or_expr(parts: list) -> Expr:
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
+def _or_expr(parts: list, sources: list) -> Expr:
+    """The disjunction of the paths to a cell.  A path is not taken when a
+    guard node on it reads anything but a number, but OR stops at the
+    error that path then yields.  That is harmless when every later path
+    reads the same guard nodes (``sources``: their ids, path by path);
+    otherwise the path is wrapped to read false instead."""
+    out = []
+    for i, p in enumerate(parts[:-1]):
+        if not all(sources[i] <= later for later in sources[i + 1:]):
+            # AND turns a text guard into an error, which ISERROR sees.
+            q = p if type(p) is And else And((p,))
+            p = And((Arith1("NOT", FunctionCall("ISERROR", (q,))), q))
+        out.append(p)
+    return Or(tuple(out) + (parts[-1],)) if out else parts[0]
 
 
 def _subsume_paths(paths):
@@ -478,6 +496,7 @@ def _attach_conditions(cellmap, order, out_key):
         if key == out_key:
             continue
         disjuncts = []
+        sources = []
         always = False
         for parent in order:
             if parent in dropped:
@@ -492,6 +511,8 @@ def _attach_conditions(cellmap, order, out_key):
                     always = True
                     break
                 disjuncts.append(_and_expr(parts))
+                sources.append({id(lit[1]) for lit in path}
+                               | ({id(pc)} if pc is not None else set()))
             if always:
                 break
         if always:
@@ -499,7 +520,7 @@ def _attach_conditions(cellmap, order, out_key):
         elif not disjuncts:
             dropped.add(key)
         else:
-            cond = _or_expr(disjuncts)
+            cond = _or_expr(disjuncts, sources)
             # Share the condition between this guard and child guards.
             if not _is_trivial(cond):
                 cond = CachedExpr(cond)

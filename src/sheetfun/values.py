@@ -337,12 +337,16 @@ def format_number(d: float) -> str:
 
 def literal(v: Value) -> str:
     """Formula-style rendering that reads back as the same value: text
-    quoted, so values nest unambiguously, and a negative zero signed."""
+    quoted, so values nest unambiguously, a negative zero signed, and an
+    infinity as a number literal that overflows to it."""
     if type(v) is Text:
         return '"' + v.value.replace('"', '""') + '"'
-    if type(v) is Number and v.value == 0.0 \
-            and math.copysign(1.0, v.value) < 0:
-        return "-0"
+    if type(v) is Number:
+        d = v.value
+        if d == 0.0 and math.copysign(1.0, d) < 0:
+            return "-0"
+        if abs(d) == math.inf:
+            return "1E999" if d > 0 else "-1E999"
     return display(v)
 
 

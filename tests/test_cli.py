@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 
@@ -67,12 +68,36 @@ A6 = =-A1*(-0)
 A7 = =A4&"-0"
 """
 
+# Infinities, and constants that are numbers only if they are the formula
+# lexer's number token after an optional sign.
+EDGE_NUMBERS = """\
+sheet N
+A1 = =1E400
+A2 = =-1E400
+A3 = ={1E400,-1E400}
+A4 = =2^-1E400
+B1 = nan
+B2 = inf
+B3 = Infinity
+B4 = 1_000
+B5 = -0
+B6 = +2.5
+B7 = .5
+B8 = 1e+20
+"""
+
 
 def test_save_reload_keeps_every_value_bit_for_bit(tmp_path):
     path = tmp_path / "zero.wbk"
-    path.write_text(DEMO + SIGNED_ZERO, encoding="utf-8")
+    path.write_text(DEMO + SIGNED_ZERO + EDGE_NUMBERS, encoding="utf-8")
     wb = load_workbook(str(path))
     assert value_key(wb.get_value(a1("Z", "A2"))) == value_key(Number(-0.0))
+    assert wb.get_value(a1("N", "A2")) == Number(-math.inf)
+    for cell, text in zip(("B1", "B2", "B3", "B4"),
+                          ("nan", "inf", "Infinity", "1_000")):
+        assert wb.get_value(a1("N", cell)) == Text(text)
+    for cell, d in zip(("B5", "B6", "B7", "B8"), (-0.0, 2.5, 0.5, 1e20)):
+        assert value_key(wb.get_value(a1("N", cell))) == value_key(Number(d))
     saved = tmp_path / "saved.wbk"
     save_workbook(wb, str(saved))
     wb2 = load_workbook(str(saved))

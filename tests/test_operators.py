@@ -96,6 +96,15 @@ def test_unary_operator_agrees_on_every_path(op):
     assert not bad, bad[:5]
 
 
+@pytest.mark.parametrize("name", ["MOD", "QUOTIENT"])
+def test_unboxed_builtin_call_agrees_on_every_path(name):
+    # Under unary minus the call runs on raw doubles; a text argument
+    # must not hide the error argument after it.
+    bad = mismatches(f"=-{name}(B1, B2)", PAIRS,
+                     lambda a, b: Arith1("-", FunctionCall(name, (a, b))))
+    assert not bad, bad[:5]
+
+
 def test_choose_index_agrees_on_every_path():
     branches = tuple(Const(Number(float(10 * k))) for k in (1, 2, 3))
     bad = mismatches("=CHOOSE(B1, 10, 20, 30)", [(a,) for a in POOL],

@@ -1,6 +1,8 @@
 """Online specialization: folding, simplification, caching, budgets."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -8,13 +10,14 @@ from sheetfun import Number, Text, Workbook
 from sheetfun.engine import Builtin, default_registry
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE,
-    value_key,
+    literal, value_key,
 )
 
 from conftest import (
     ACKA_CELLS, EXPSAMPLE_CELLS, FACD_CELLS, MONTHLEN_CELLS, REPT4_CELLS,
     a1, call, fill, make_wb, wrap,
 )
+from test_operators import POOL
 
 
 def apply(w, fv, *xs):
@@ -292,6 +295,70 @@ def test_ackermann_generalization_terminates():
     assert fn_count(w) - before == 1
     for n in range(5):
         assert apply(w, fv, n) == Number(float(2 * n + 3))
+
+
+# --- residuals against the original ------------------------------------------
+
+BUILTINS = [("ABS", 1), ("SQRT", 1), ("LN", 1), ("FLOOR", 1), ("ISERROR", 1),
+            ("MOD", 2), ("QUOTIENT", 2), ("MIN", 2), ("MAX", 2), ("SUM", 2),
+            ("CONCAT", 2)]
+OPERATORS = ["+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">="]
+CONSTANTS = ["(" + literal(v) + ")" for v in POOL]
+# H is the callee of every CLOSURE/APPLY in a random body.
+HELPER = {"D1": "0", "D2": "0", "D3": '=IF(D1<D2, D1&"", D2*2)',
+          "D4": '=DEFINE("H", D3, D1, D2)'}
+
+
+def random_formula(rng, refs, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(refs if rng.random() < 0.6 else CONSTANTS)
+    sub = [random_formula(rng, refs, depth - 1) for _ in range(3)]
+    form = rng.randrange(8)
+    if form == 0:
+        return f"({sub[0]}{rng.choice(OPERATORS)}{sub[1]})"
+    if form == 1:
+        return rng.choice(["-", "NOT"]) + f"({sub[0]})"
+    if form == 2:
+        return f"IF({sub[0]}, {sub[1]}, {sub[2]})"
+    if form == 3:
+        return f"CHOOSE({sub[0]}, {sub[1]}, {sub[2]})"
+    if form == 4:
+        return rng.choice(["AND", "OR"]) + f"({sub[0]}, {sub[1]})"
+    if form == 5:
+        return f'APPLY(CLOSURE("H", {sub[0]}, #NA), {sub[1]})'
+    name, n = rng.choice(BUILTINS)
+    return f"{name}({', '.join(sub[:n])})"
+
+
+def test_random_residuals_agree_with_the_original():
+    """Random three-input bodies over the operator pool: for every
+    static/dynamic split of each argument vector, the residual gives the
+    original's value bit for bit."""
+    rng = random.Random(20131)
+    splits = list(itertools.product((False, True), repeat=3))[1:]
+    for _ in range(300):
+        refs = ["B1", "B2", "B3"]
+        cells = dict(HELPER, B1="0", B2="0", B3="0")
+        for cell in ("C1", "C2", "C3"):
+            cells[cell] = "=" + random_formula(rng, refs, 3)
+            refs.append(cell)
+        cells["C4"] = '=DEFINE("F", C3, B1, B2, B3)'
+        w = make_wb(cells, strict_simplify=True)
+        target = w.function_table.lookup_name("F")
+        for _ in range(3):
+            args = [rng.choice(POOL) for _ in range(3)]
+            for split in splits:
+                captured = [a if static else HOLE
+                            for a, static in zip(args, split)]
+                fv = w.specializer.specialize(
+                    FunctionValue(target, "F", captured))
+                for _ in range(6):
+                    vec = [a if static else rng.choice(POOL)
+                           for a, static in zip(args, split)]
+                    want = value_key(call(w, "F", *vec))
+                    dyn = [v for v, static in zip(vec, split) if not static]
+                    got = w.function_table.apply(fv, dyn, w)
+                    assert value_key(got) == want, (cells, vec, split)
 
 
 # --- cache, identity, budget -------------------------------------------------

@@ -7,11 +7,12 @@ from sheetfun.formula import parse_formula
 from sheetfun.sdf import DefineError, build_body, canonical_name, _resolve
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NAME, ERROR_NUM, ERROR_VALUE, ErrorValue, HOLE, display,
+    literal,
 )
 from sheetfun import codegen, sdf
 from sheetfun.sdf import SdfInfo
 
-from conftest import a1, call, fill
+from conftest import a1, call, fill, wrap
 
 
 ERR_DEFINE = ErrorValue.intern("#ERR:DEFINE")
@@ -362,6 +363,25 @@ def test_guard_dependency_knot_goes_lazy(define):
     assert call(w, "KNOT", -9) == Number(2.0)     # true arm again, B2=-18
 
 
+@pytest.mark.parametrize("b4", ["=IF(B2, B3, 0)+IF(B1, B3, 1)",
+                                "=IF(B2, B3, 0)+IF(B1, B3, 1)+IF(B1, 0, B3)",
+                                "=AND(B2, B3)&IF(B1, B3, 1)"])
+def test_guard_error_on_one_path_keeps_the_other(define, b4):
+    # B3 is needed when B1 holds, whatever B2 is: an error or text in B2
+    # only means that the paths through B2 are not taken.
+    cells = {"B1": "0", "B2": "0", "B3": "=B1*2", "B4": b4}
+    w = define(dict(cells, B5='=DEFINE("TWOPATH", B4, B1, B2)'))
+    for x, y in ((5, ERROR_DIV0), (5, Text("t")), (5, 1), (0, ERROR_DIV0)):
+        fill(w, "S", dict(cells, B1=str(x), B2=literal(wrap(y))))
+        w.recalculate()
+        want = w.get_value(a1("S", "B4"))
+        assert call(w, "TWOPATH", x, y) == want, (x, y)
+    fv = w.eval_formula('=SPECIALIZE(CLOSURE("TWOPATH", #NA, 1/0))', "S")
+    assert fv.arity == 1
+    assert w.function_table.apply(fv, [Number(5.0)], w) == \
+        call(w, "TWOPATH", 5, ERROR_DIV0)
+
+
 # --- names -------------------------------------------------------------------
 
 def test_canonical_name_uppercases_simple_names():
@@ -379,3 +399,7 @@ def test_lowercase_call_and_define_agree(define):
     })
     assert w.eval_formula("=bump(4)", "S") == Number(5.0)
     assert w.eval_formula("=BUMP(4)", "S") == Number(5.0)
+    table = w.function_table
+    fn_id = table.lookup_name("BUMP")
+    assert fn_id is not None
+    assert table.lookup_name("bump") == table.lookup_name("Bump") == fn_id
