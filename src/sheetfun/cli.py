@@ -123,8 +123,18 @@ commands:
 """
 
 
-def _print_value(v: Value) -> None:
-    print(display(v))
+def _evaluate(wb: Workbook, formula: str, current: str | None,
+              show: bool = True) -> Value | None:
+    """Evaluate a formula on the current sheet and print its value (unless
+    ``show`` is false); a parse error is reported and gives None."""
+    try:
+        v = wb.eval_formula(formula, current)
+    except FormulaError as ex:
+        print(f"parse error: {ex}", file=sys.stderr)
+        return None
+    if show:
+        print(display(v))
+    return v
 
 
 def repl(wb: Workbook, current: str | None = None) -> None:
@@ -139,10 +149,7 @@ def repl(wb: Workbook, current: str | None = None) -> None:
         if not line:
             continue
         if line.startswith("="):
-            try:
-                _print_value(wb.eval_formula(line, current))
-            except FormulaError as ex:
-                print(f"parse error: {ex}", file=sys.stderr)
+            _evaluate(wb, line, current)
             continue
         cmd, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -164,10 +171,7 @@ def repl(wb: Workbook, current: str | None = None) -> None:
             if not rest:
                 print("usage: eval ADDR", file=sys.stderr)
                 continue
-            try:
-                _print_value(wb.eval_formula("=" + rest, current))
-            except FormulaError as ex:
-                print(f"parse error: {ex}", file=sys.stderr)
+            _evaluate(wb, "=" + rest, current)
         elif cmd == "set":
             addr_text, _, content = rest.partition(" ")
             sheet, bang, local = addr_text.rpartition("!")
@@ -188,18 +192,12 @@ def repl(wb: Workbook, current: str | None = None) -> None:
                 print("usage: call NAME ARGS...", file=sys.stderr)
                 continue
             args = ",".join(argtext.split())
-            try:
-                _print_value(wb.eval_formula(f"={name}({args})", current))
-            except FormulaError as ex:
-                print(f"parse error: {ex}", file=sys.stderr)
+            _evaluate(wb, f"={name}({args})", current)
         elif cmd == "specialize":
             if not rest:
                 print("usage: specialize EXPR", file=sys.stderr)
                 continue
-            try:
-                _print_value(wb.eval_formula(f"=SPECIALIZE({rest})", current))
-            except FormulaError as ex:
-                print(f"parse error: {ex}", file=sys.stderr)
+            _evaluate(wb, f"=SPECIALIZE({rest})", current)
         elif cmd in ("funcs", "list-functions"):
             for info in wb.function_table.items():
                 print(f"#{info.id} {info.name}/{len(info.inputs)} "
@@ -222,11 +220,9 @@ def repl(wb: Workbook, current: str | None = None) -> None:
             if count < 1:
                 print("bench needs a positive call count", file=sys.stderr)
                 continue
-            try:
-                v = wb.eval_formula(expr if expr.startswith("=")
-                                    else "=" + expr, current)
-            except FormulaError as ex:
-                print(f"parse error: {ex}", file=sys.stderr)
+            v = _evaluate(wb, expr if expr.startswith("=") else "=" + expr,
+                          current, show=False)
+            if v is None:
                 continue
             if type(v) is not FunctionValue or v.arity != 0:
                 print("bench needs a 0-argument closure", file=sys.stderr)
@@ -300,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"sheetfun: {ex}", file=sys.stderr)
                 status = 2
                 continue
-            _print_value(v)
+            print(display(v))
         return status
 
     # Without --eval the REPL runs, reading piped input as commands too.

@@ -1,16 +1,22 @@
 """Compilation of function bodies to executable closures plus an IR listing.
 
 Each ComputeCell becomes a guarded assignment to a frame slot, executed
-in order; the output expression's value is returned.  Four compile modes
-drive translation:
+in order; the output expression's value is returned.  Three compile
+modes drive translation:
 
 * to_value: produce a boxed Value.
 * to_double: produce a raw double; errors travel as tagged NaNs.
-* to_double_proper: split proper numbers from NaNs at the site.
 * to_condition: branch on true/false/error with three continuations.
 
-One ``Const`` node carries every constant; its value's type picks the
-IR mnemonic (``const`` for a number, ``error``, ``text`` or ``value``).
+Each construct is compiled in one place.  One ``Const`` node carries
+every constant; its value's type picks the IR mnemonic (``const`` for a
+number, ``error``, ``text`` or ``value``).  A slot read is one step for
+every slot: a lazy slot computes its cell on first read, and reading any
+other slot before its assignment raises.  If, CHOOSE, AND and OR share
+one compiler for both modes, which differ only in how a branch, a 0/1
+result and an error are produced; every two-way branch has the same
+``brf``/``brbad``/``jmp`` layout.
+
 The continuation generators are invoked at most once per site, so
 branches share code instead of duplicating it.  Compiling a constant
 decides tests at code generation time: a constant condition collapses to
@@ -21,9 +27,9 @@ numeric body boxes exactly once, at the return.
 A FunctionCall here always names a builtin: DEFINE links every other
 call to a function id (an SdfCall).  Calls in tail position return a
 TailCall token, which ``sdf.FunctionTable.call`` chases, so tail
-recursion runs in constant stack.  The IR listing is
-emitted by the same traversal that builds the closures and is stored on
-the CompiledFunction for ``dump-ir``.
+recursion runs in constant stack.  The IR listing is emitted by the same
+traversal that builds the closures and is stored on the CompiledFunction
+for ``dump-ir``; ``out_ir`` reads the output's lines from it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .formula import (
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
-    FunctionValue, Number, Text, choose_index, error_nan, fconcat_values,
+    FunctionValue, Number, Text, choose_index, fconcat_values,
     format_number, from_double_or_nan, literal, make_number,
     to_double_or_nan,
 )
@@ -81,19 +87,21 @@ _EMPTY: list = []
 class CompiledFunction:
     """Executable form of a function body plus its IR listing."""
 
-    __slots__ = ("fn_id", "name", "n_slots", "n_memo", "steps", "out_step",
-                 "listing", "out_ir")
+    __slots__ = ("n_slots", "n_memo", "steps", "out_step", "listing")
 
-    def __init__(self, fn_id, name, n_slots, n_memo, steps, out_step,
-                 listing, out_ir):
-        self.fn_id = fn_id
-        self.name = name
+    def __init__(self, n_slots, n_memo, steps, out_step, listing):
         self.n_slots = n_slots
         self.n_memo = n_memo
         self.steps = steps
         self.out_step = out_step
         self.listing = listing
-        self.out_ir = out_ir
+
+    @property
+    def out_ir(self) -> list[str]:
+        """The output expression's IR lines, without labels."""
+        out = self.listing.partition("\n.out ")[2]
+        return [ln.strip() for ln in out.splitlines()[1:]
+                if not ln.endswith(":")]
 
     def run(self, argv, rt):
         """Execute one frame; may return a TailCall token."""
@@ -119,24 +127,25 @@ def read_area(rt, start: CellAddr, end: CellAddr, fallback_sheet):
 # --- compile context ---------------------------------------------------------
 
 class _Slot:
-    __slots__ = ("index", "numeric", "lazy", "thunk")
+    __slots__ = ("index", "numeric", "thunk")
 
-    def __init__(self, index, numeric, lazy):
+    def __init__(self, index, numeric, fn_name):
         self.index = index
         self.numeric = numeric
-        self.lazy = lazy
-        self.thunk = None   # filled for lazy cells before use
+
+        def unevaluated(fr):
+            raise RuntimeError(f"{fn_name}: read of unevaluated slot {index}")
+        # A lazy cell replaces this with its compiled expression.
+        self.thunk = unevaluated
 
 
 class _Ctx:
-    def __init__(self, registry, fn_name):
+    def __init__(self, registry):
         self.registry = registry
-        self.fn_name = fn_name
         self.args: dict[tuple[int, int], int] = {}
         self.slots: dict[tuple[int, int], _Slot] = {}
-        self.memo_of: dict[int, int] = {}    # id(CachedExpr node) -> index
-        self.memo_steps: dict[int, object] = {}
-        self.n_memo = 0
+        # id(CachedExpr node) -> (memo index, step reading the memo)
+        self.memo: dict[int, tuple] = {}
         self.lines: list[str] = []
         self.n_labels = 0
 
@@ -156,15 +165,6 @@ class _Ctx:
     def numeric_cell(self, k) -> bool:
         slot = self.slots.get(k)    # a parameter has no slot
         return slot is not None and slot.numeric
-
-    def memo_index(self, node: CachedExpr) -> int:
-        key = id(node)
-        idx = self.memo_of.get(key)
-        if idx is None:
-            idx = self.n_memo
-            self.memo_of[key] = idx
-            self.n_memo += 1
-        return idx
 
 
 def _key(addr: CellAddr) -> tuple[int, int]:
@@ -235,21 +235,44 @@ def compile_to_double(e: Expr, cx: _Ctx):
             cx.emit("unwrap")
         return lambda fr: c
     if t is CellRef:
-        return _ref_double(e, cx)
-    if t is Arith2:
-        return _arith2_double(e, cx)
-    if t is Comparison:
-        return _comparison_double(e, cx)
-    if t is Arith1:
+        k = _key(e.addr)
+        i = cx.args.get(k)
+        if i is not None:
+            cx.emit(f"arg {i}")
+            cx.emit("unwrap")
+            return lambda fr: to_double_or_nan(fr.args[i])
+        if cx.slots[k].numeric:
+            return _slot_step(cx.slots[k], cx)
+    elif t is Arith2 and e.op != "&":
+        s1 = compile_to_double(e.left, cx)
+        s2 = compile_to_double(e.right, cx)
+        cx.emit(_BINARY_NAMES[e.op])
+        f = BINARY_OPS[e.op]
+        return lambda fr: f(s1(fr), s2(fr))
+    elif t is Comparison:
+        s1, s2, cmp = _comparison_operands(e, cx)
+
+        def step(fr):
+            d1 = s1(fr)
+            if d1 != d1:
+                return d1
+            d2 = s2(fr)
+            if d2 != d2:
+                return d2
+            return 1.0 if cmp(d1, d2) else 0.0
+        return step
+    elif t is Arith1:
         s = compile_to_double(e.arg, cx)
         cx.emit(_UNARY_NAMES[e.op])
         f = UNARY_OPS[e.op]
         return lambda fr: f(s(fr))
-    if t is CachedExpr:
+    elif t is CachedExpr:
         return _cached_double(e, cx)
-    if t is If or t is Choose or t is And or t is Or:
-        return _control_double(e, cx)
-    if t is FunctionCall:
+    elif t is If or t is Choose or t is And or t is Or:
+        return _control(e, cx, lambda b: compile_to_double(b, cx),
+                        lambda c: _const_double_step(cx, c),
+                        lambda fr: to_double_or_nan(fr.scratch))
+    elif t is FunctionCall:
         b = cx.registry.get(e.name)
         if b is not None and b.dfunc is not None \
                 and b.min_args == b.max_args == len(e.args) \
@@ -274,66 +297,39 @@ def compile_to_double(e: Expr, cx: _Ctx):
     return lambda fr: to_double_or_nan(s(fr))
 
 
-def _ref_double(e: CellRef, cx: _Ctx):
-    k = _key(e.addr)
-    i = cx.args.get(k)
-    if i is not None:
-        cx.emit(f"arg {i}")
-        cx.emit("unwrap")
-        return lambda fr: to_double_or_nan(fr.args[i])
-    slot = cx.slots[k]
+def _slot_step(slot: _Slot, cx: _Ctx):
+    """Read a slot; an unset one runs its thunk, which computes a lazy
+    cell and raises for any other."""
     idx = slot.index
-    if slot.numeric:
-        cx.emit(f"slot {idx}")
-        if slot.lazy:
-            def step(fr):
-                d = fr.slots[idx]
-                if d is UNSET:
-                    d = fr.slots[idx] = slot.thunk(fr)
-                return d
-            return step
-        def step(fr):
-            d = fr.slots[idx]
-            if d is UNSET:
-                raise RuntimeError(
-                    f"{cx.fn_name}: read of unevaluated slot {idx}")
-            return d
-        return step
-    s = _ref_value(e, cx)
-    cx.emit("unwrap")
-    return lambda fr: to_double_or_nan(s(fr))
+    cx.emit(f"slot {idx}")
+
+    def step(fr):
+        v = fr.slots[idx]
+        if v is UNSET:
+            v = fr.slots[idx] = slot.thunk(fr)
+        return v
+    return step
 
 
 def _cached_double(e: CachedExpr, cx: _Ctx):
     # A shared node compiles once; later sites reuse the memoized step.
-    idx = cx.memo_index(e)
-    inner = cx.memo_steps.get(id(e))
-    if inner is None:
-        cx.emit(f"memo {idx} <-")
-        inner = compile_to_double(e.inner, cx)
-        cx.memo_steps[id(e)] = inner
-    else:
+    hit = cx.memo.get(id(e))
+    if hit is not None:
+        idx, step = hit
         cx.emit(f"memo {idx}")
+        return step
+    idx = len(cx.memo)
+    cx.memo[id(e)] = (idx, None)    # reserve the index before the inner nodes
+    cx.emit(f"memo {idx} <-")
+    inner = compile_to_double(e.inner, cx)
 
     def step(fr):
         d = fr.memo[idx]
         if d is None:
             d = fr.memo[idx] = inner(fr)
         return d
+    cx.memo[id(e)] = (idx, step)
     return step
-
-
-def _arith2_double(e: Arith2, cx: _Ctx):
-    op = e.op
-    if op == "&":
-        s = compile_to_value(e, cx)
-        cx.emit("unwrap")
-        return lambda fr: to_double_or_nan(s(fr))
-    s1 = compile_to_double(e.left, cx)
-    s2 = compile_to_double(e.right, cx)
-    cx.emit(_BINARY_NAMES[op])
-    f = BINARY_OPS[op]
-    return lambda fr: f(s1(fr), s2(fr))
 
 
 # IR mnemonics of the operators in ``values``.
@@ -343,57 +339,17 @@ _CMP_NAMES = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le",
               ">": "gt", ">=": "ge"}
 
 
-def _comparison_double(e: Comparison, cx: _Ctx):
+def _comparison_operands(e: Comparison, cx: _Ctx):
+    """Both operands as doubles, each NaN-tested unless a constant number,
+    then the comparison; returns the two steps and the operator."""
     s1 = compile_to_double(e.left, cx)
-    t1 = not _certainly_proper(e.left)
-    if t1:
+    if not _certainly_proper(e.left):
         cx.emit("nantest")
     s2 = compile_to_double(e.right, cx)
-    t2 = not _certainly_proper(e.right)
-    if t2:
+    if not _certainly_proper(e.right):
         cx.emit("nantest")
     cx.emit(f"cmp {_CMP_NAMES[e.op]}")
-    cmp = COMPARE_OPS[e.op]
-
-    def step(fr):
-        d1 = s1(fr)
-        if d1 != d1:
-            return d1
-        d2 = s2(fr)
-        if d2 != d2:
-            return d2
-        return 1.0 if cmp(d1, d2) else 0.0
-    return step
-
-
-def _control_double(e: Expr, cx: _Ctx):
-    """If/Choose/And/Or in double mode, via the condition machinery."""
-    if type(e) is If:
-        s_then = s_other = None
-
-        def gen_t():
-            nonlocal s_then
-            s_then = compile_to_double(e.then, cx)
-            return s_then
-
-        def gen_f():
-            nonlocal s_other
-            s_other = compile_to_double(e.other, cx)
-            return s_other
-
-        return compile_to_condition(e.cond, cx, gen_t, gen_f, _gen_bad_double)
-    if type(e) is Choose:
-        return _choose_step(e, cx, lambda b: compile_to_double(b, cx),
-                            error_nan(ERROR_VALUE))
-    if type(e) is And or type(e) is Or:
-        one = lambda: _const_double_step(cx, 1.0)
-        zero = lambda: _const_double_step(cx, 0.0)
-        if type(e) is And:
-            return _chain_condition(list(e.args), cx, one, zero,
-                                    _gen_bad_double, is_and=True)
-        return _chain_condition(list(e.args), cx, one, zero,
-                                _gen_bad_double, is_and=False)
-    raise AssertionError
+    return s1, s2, COMPARE_OPS[e.op]
 
 
 def _const_double_step(cx, c):
@@ -401,11 +357,49 @@ def _const_double_step(cx, c):
     return lambda fr: c
 
 
-def _gen_bad_double():
-    return lambda fr: to_double_or_nan(fr.scratch)
+# --- control flow, in both modes ---------------------------------------------
+
+def _control(e: Expr, cx: _Ctx, branch, const, bad):
+    """If, CHOOSE, AND and OR in double or value mode.  ``branch``
+    compiles a sub-expression in the mode, ``const`` a 0/1 result, and
+    the step ``bad`` passes on the error Value in ``fr.scratch``."""
+    t = type(e)
+    gen_bad = lambda: bad
+    if t is If:
+        return compile_to_condition(e.cond, cx, lambda: branch(e.then),
+                                    lambda: branch(e.other), gen_bad)
+    if t is Choose:
+        return _choose_step(e, cx, branch, bad)
+    return _chain_condition(list(e.args), cx, lambda: const(1.0),
+                            lambda: const(0.0), gen_bad, is_and=t is And)
 
 
-# --- condition mode ----------------------------------------------------------
+def _choose_step(e: Choose, cx: _Ctx, branch, bad):
+    """CHOOSE: truncate the selector, dispatch; out of range is #VALUE!."""
+    n = len(e.branches)
+    lend = cx.label()
+    s = compile_to_double(e.index, cx)
+    if not _certainly_proper(e.index):
+        cx.emit("nantest")
+    cx.emit(f"choose {n}")
+    steps = []
+    for b in e.branches:
+        steps.append(branch(b))
+        cx.emit(f"jmp {lend}")
+    cx.mark(lend)
+
+    def step(fr):
+        d = s(fr)
+        if d != d:
+            fr.scratch = from_double_or_nan(d)
+            return bad(fr)
+        k = choose_index(d, n)
+        if k is None:
+            fr.scratch = ERROR_VALUE
+            return bad(fr)
+        return steps[k](fr)
+    return step
+
 
 def _once(gen):
     """Wrap a generator so repeated requests share one emission."""
@@ -447,33 +441,28 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
             lambda: compile_to_condition(e.then, cx, gen_t, gen_f, gen_bad),
             lambda: compile_to_condition(e.other, cx, gen_t, gen_f, gen_bad),
             gen_bad)
-    if t is And:
+    if t is And or t is Or:
         return _chain_condition(list(e.args), cx, gen_t, gen_f, gen_bad,
-                                is_and=True)
-    if t is Or:
-        return _chain_condition(list(e.args), cx, gen_t, gen_f, gen_bad,
-                                is_and=False)
+                                is_and=t is And)
     if t is Comparison:
-        return _comparison_condition(e, cx, gen_t, gen_f, gen_bad)
-    if t is CachedExpr:
-        s = _cached_double(e, cx)
-        return _branch_on_double(s, cx, gen_t, gen_f, gen_bad)
+        s1, s2, cmp = _comparison_operands(e, cx)
+        t_step, f_step, bad_step = _branches(cx, gen_t, gen_f, gen_bad)
+
+        def step(fr):
+            d1 = s1(fr)
+            if d1 != d1:
+                fr.scratch = from_double_or_nan(d1)
+                return bad_step(fr)
+            d2 = s2(fr)
+            if d2 != d2:
+                fr.scratch = from_double_or_nan(d2)
+                return bad_step(fr)
+            if cmp(d1, d2):
+                return t_step(fr)
+            return f_step(fr)
+        return step
     s = compile_to_double(e, cx)
-    return _branch_on_double(s, cx, gen_t, gen_f, gen_bad)
-
-
-def _branch_on_double(s, cx: _Ctx, gen_t, gen_f, gen_bad):
-    lf, lbad, lend = cx.label(), cx.label(), cx.label()
-    cx.emit(f"brf {lf}")
-    cx.emit(f"brbad {lbad}")
-    t_step = gen_t()
-    cx.emit(f"jmp {lend}")
-    cx.mark(lf)
-    f_step = gen_f()
-    cx.emit(f"jmp {lend}")
-    cx.mark(lbad)
-    bad_step = gen_bad()
-    cx.mark(lend)
+    t_step, f_step, bad_step = _branches(cx, gen_t, gen_f, gen_bad)
 
     def step(fr):
         d = s(fr)
@@ -486,16 +475,10 @@ def _branch_on_double(s, cx: _Ctx, gen_t, gen_f, gen_bad):
     return step
 
 
-def _comparison_condition(e: Comparison, cx: _Ctx, gen_t, gen_f, gen_bad):
-    s1 = compile_to_double(e.left, cx)
-    if not _certainly_proper(e.left):
-        cx.emit("nantest")
-    s2 = compile_to_double(e.right, cx)
-    if not _certainly_proper(e.right):
-        cx.emit("nantest")
-    cmp = COMPARE_OPS[e.op]
+def _branches(cx: _Ctx, gen_t, gen_f, gen_bad):
+    """Lay out the three continuations of a branch on the value just
+    computed; returns their steps."""
     lf, lbad, lend = cx.label(), cx.label(), cx.label()
-    cx.emit(f"cmp {_CMP_NAMES[e.op]}")
     cx.emit(f"brf {lf}")
     cx.emit(f"brbad {lbad}")
     t_step = gen_t()
@@ -506,20 +489,7 @@ def _comparison_condition(e: Comparison, cx: _Ctx, gen_t, gen_f, gen_bad):
     cx.mark(lbad)
     bad_step = gen_bad()
     cx.mark(lend)
-
-    def step(fr):
-        d1 = s1(fr)
-        if d1 != d1:
-            fr.scratch = from_double_or_nan(d1)
-            return bad_step(fr)
-        d2 = s2(fr)
-        if d2 != d2:
-            fr.scratch = from_double_or_nan(d2)
-            return bad_step(fr)
-        if cmp(d1, d2):
-            return t_step(fr)
-        return f_step(fr)
-    return step
+    return t_step, f_step, bad_step
 
 
 def _chain_condition(args, cx: _Ctx, gen_t, gen_f, gen_bad, *, is_and):
@@ -535,33 +505,6 @@ def _chain_condition(args, cx: _Ctx, gen_t, gen_f, gen_bad, *, is_and):
         return compile_to_condition(args[i], cx, gen_t, later, gen_bad)
 
     return build(0)
-
-
-# --- double proper -----------------------------------------------------------
-
-def compile_to_double_proper(e: Expr, cx: _Ctx, gen_proper, gen_bad):
-    """Split proper numbers from NaNs; ``gen_proper`` receives a loader for
-    the tested double, ``gen_bad`` finds the Value in ``fr.scratch``."""
-    s = compile_to_double(e, cx)
-    if _certainly_proper(e):
-        return gen_proper(s)
-    cx.emit("nantest")
-    box = [0.0]
-
-    def load(fr):
-        return box[0]
-
-    p_step = gen_proper(load)
-    bad_step = gen_bad()
-
-    def step(fr):
-        d = s(fr)
-        if d != d:
-            fr.scratch = from_double_or_nan(d)
-            return bad_step(fr)
-        box[0] = d
-        return p_step(fr)
-    return step
 
 
 # --- value mode --------------------------------------------------------------
@@ -581,7 +524,17 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
             cx.emit(f"{'text' if type(v) is Text else 'value'} {literal(v)}")
         return lambda fr: v
     if t is CellRef:
-        return _ref_value(e, cx)
+        k = _key(e.addr)
+        i = cx.args.get(k)
+        if i is not None:
+            cx.emit(f"arg {i}")
+            return lambda fr: fr.args[i]
+        slot = cx.slots[k]
+        s = _slot_step(slot, cx)
+        if not slot.numeric:
+            return s
+        cx.emit("box")
+        return lambda fr: make_number(s(fr))
     if t is NormalCellRef:
         addr = e.addr
         cx.emit(f"getcell {addr.text()}")
@@ -595,27 +548,14 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
         s2 = compile_to_value(e.right, cx)
         cx.emit("concat")
         return lambda fr: fconcat_values(s1(fr), s2(fr))
-    if t in (Arith1, Arith2, Comparison):
+    if t in (Arith1, Arith2, Comparison, CachedExpr):
         s = compile_to_double(e, cx)
         cx.emit("box")
         return lambda fr: make_number(s(fr))
-    if t is CachedExpr:
-        s = _cached_double(e, cx)
-        cx.emit("box")
-        return lambda fr: make_number(s(fr))
-    if t is If:
-        gen_t = lambda: compile_to_value(e.then, cx, tail)
-        gen_f = lambda: compile_to_value(e.other, cx, tail)
-        return compile_to_condition(e.cond, cx, gen_t, gen_f, _gen_bad_value)
-    if t is Choose:
-        return _choose_step(e, cx,
-                            lambda b: compile_to_value(b, cx, tail),
-                            ERROR_VALUE)
-    if t is And or t is Or:
-        gen_t = lambda: _boxed_const_step(cx, 1.0)
-        gen_f = lambda: _boxed_const_step(cx, 0.0)
-        return _chain_condition(list(e.args), cx, gen_t, gen_f,
-                                _gen_bad_value, is_and=(t is And))
+    if t is If or t is Choose or t is And or t is Or:
+        return _control(e, cx, lambda b: compile_to_value(b, cx, tail),
+                        lambda c: _boxed_const_step(cx, c),
+                        lambda fr: fr.scratch)
     if t is FunctionCall:
         return _call_value(e, cx)
     if t is SdfCall:
@@ -635,80 +575,6 @@ def _boxed_const_step(cx, c):
     cx.emit(f"const {format_number(c)}")
     cx.emit("box")
     return lambda fr: make_number(c)
-
-
-def _gen_bad_value():
-    return lambda fr: fr.scratch
-
-
-def _ref_value(e: CellRef, cx: _Ctx):
-    k = _key(e.addr)
-    i = cx.args.get(k)
-    if i is not None:
-        cx.emit(f"arg {i}")
-        return lambda fr: fr.args[i]
-    slot = cx.slots[k]
-    idx = slot.index
-    cx.emit(f"slot {idx}")
-    if slot.numeric:
-        cx.emit("box")
-        if slot.lazy:
-            def step(fr):
-                d = fr.slots[idx]
-                if d is UNSET:
-                    d = fr.slots[idx] = slot.thunk(fr)
-                return make_number(d)
-            return step
-        def step(fr):
-            d = fr.slots[idx]
-            if d is UNSET:
-                raise RuntimeError(
-                    f"{cx.fn_name}: read of unevaluated slot {idx}")
-            return make_number(d)
-        return step
-    if slot.lazy:
-        def step(fr):
-            v = fr.slots[idx]
-            if v is UNSET:
-                v = fr.slots[idx] = slot.thunk(fr)
-            return v
-        return step
-    def step(fr):
-        v = fr.slots[idx]
-        if v is UNSET:
-            raise RuntimeError(f"{cx.fn_name}: read of unevaluated slot {idx}")
-        return v
-    return step
-
-
-def _choose_step(e: Choose, cx: _Ctx, compile_branch, bad_value):
-    """CHOOSE: truncate the selector, dispatch; out of range is #VALUE!."""
-    n = len(e.branches)
-    lend = cx.label()
-
-    def gen_proper(load):
-        cx.emit(f"choose {n}")
-        steps = []
-        for b in e.branches:
-            steps.append(compile_branch(b))
-            cx.emit(f"jmp {lend}")
-        oob = bad_value
-
-        def dispatch(fr):
-            k = choose_index(load(fr), n)
-            if k is None:
-                return oob
-            return steps[k](fr)
-        return dispatch
-
-    def gen_bad():
-        if isinstance(bad_value, float):
-            return lambda fr: to_double_or_nan(fr.scratch)
-        return lambda fr: fr.scratch
-
-    step = compile_to_double_proper(e.index, cx, gen_proper, gen_bad)
-    cx.mark(lend)
-    return step
 
 
 def _call_value(e: FunctionCall, cx: _Ctx):
@@ -746,19 +612,7 @@ def _sdf_value(e: SdfCall, cx: _Ctx, tail: bool):
 def _apply_value(e: Apply, cx: _Ctx, tail: bool):
     sf = compile_to_value(e.fn, cx)
     sub = [compile_to_value(a, cx) for a in e.args]
-    if tail:
-        cx.emit(f"tailapply {len(sub)}")
-
-        def step(fr):
-            fv = sf(fr)
-            if type(fv) is ErrorValue:
-                return fv
-            if type(fv) is not FunctionValue:
-                return ERROR_VALUE
-            argv = [s(fr) for s in sub]
-            return fr.rt.function_table.tail_apply(fv, argv)
-        return step
-    cx.emit(f"apply {len(sub)}")
+    cx.emit(f"{'tailapply' if tail else 'apply'} {len(sub)}")
 
     def step(fr):
         fv = sf(fr)
@@ -767,6 +621,8 @@ def _apply_value(e: Apply, cx: _Ctx, tail: bool):
         if type(fv) is not FunctionValue:
             return ERROR_VALUE
         argv = [s(fr) for s in sub]
+        if tail:
+            return fr.rt.function_table.tail_apply(fv, argv)
         return fr.rt.function_table.apply(fv, argv, fr.rt)
     return step
 
@@ -775,7 +631,7 @@ def _apply_value(e: Apply, cx: _Ctx, tail: bool):
 
 def compile_function(info, registry) -> CompiledFunction:
     """Compile an SdfInfo's ComputeCell list (last entry is the output)."""
-    cx = _Ctx(registry, info.name)
+    cx = _Ctx(registry)
     for i, addr in enumerate(info.inputs):
         cx.args[_key(addr)] = i
 
@@ -784,7 +640,7 @@ def compile_function(info, registry) -> CompiledFunction:
     # Decide slot representation cell by cell, in evaluation order.
     for cell in body:
         numeric = is_numeric(cell.expr, registry, cx.numeric_cell)
-        cx.slots[_key(cell.addr)] = _Slot(len(cx.slots), numeric, cell.lazy)
+        cx.slots[_key(cell.addr)] = _Slot(len(cx.slots), numeric, info.name)
 
     steps = []
     for cell in body:
@@ -808,8 +664,7 @@ def compile_function(info, registry) -> CompiledFunction:
 
         if cell.lazy:
             # No eager step; the slot computes on first read.
-            _, s = make_assign()
-            slot.thunk = s
+            _, slot.thunk = make_assign()
             continue
         if cell.eval_cond is None:
             assign, _ = make_assign()
@@ -824,14 +679,11 @@ def compile_function(info, registry) -> CompiledFunction:
         steps.append(step)
 
     cx.raw(f".out {out.addr.local().text()}")
-    out_start = len(cx.lines)
     out_step = compile_to_value(out.expr, cx, tail=True)
     cx.emit("return")
-    out_ir = [ln.strip() for ln in cx.lines[out_start:]
-              if not ln.strip().endswith(":")]
 
     header = (f"func {info.name} id={info.id} params={len(info.inputs)} "
-              f"slots={len(cx.slots)} memo={cx.n_memo}")
+              f"slots={len(cx.slots)} memo={len(cx.memo)}")
     listing = "\n".join([header] + cx.lines) + "\n"
-    return CompiledFunction(info.id, info.name, len(cx.slots), cx.n_memo,
-                            steps, out_step, listing, out_ir)
+    return CompiledFunction(len(cx.slots), len(cx.memo), steps, out_step,
+                            listing)

@@ -297,7 +297,15 @@ def _tokenize(text: str, start: int):
 
 # --- parser ------------------------------------------------------------------
 
-_CMP_OPS = {"=", "<>", "<", "<=", ">", ">="}
+# Precedence levels, for parsing and for parenthesization; higher binds
+# tighter.  Every binary operator is left-associative.
+_LVL_CMP, _LVL_CONCAT, _LVL_ADD, _LVL_MUL, _LVL_POW, _LVL_UNARY, _LVL_ATOM = \
+    range(1, 8)
+
+_BIN_LEVEL = {"=": _LVL_CMP, "<>": _LVL_CMP, "<": _LVL_CMP, "<=": _LVL_CMP,
+              ">": _LVL_CMP, ">=": _LVL_CMP, "&": _LVL_CONCAT,
+              "+": _LVL_ADD, "-": _LVL_ADD, "*": _LVL_MUL, "/": _LVL_MUL,
+              "^": _LVL_POW}
 
 # Call names the parser turns into nodes of their own (see make_call).
 PARSER_FORMS = frozenset(
@@ -327,46 +335,26 @@ class _Parser:
         return kind == "op" and val in ops
 
     def parse(self) -> Expr:
-        e = self.comparison()
+        e = self.binary(_LVL_CMP)
         kind, val, pos = self.peek()
         if kind != "eof":
             raise FormulaError(f"unexpected {val!r}", pos)
         return e
 
-    def comparison(self) -> Expr:
-        e = self.concat()
-        while self.at_op(*_CMP_OPS):
-            _, op, _ = self.next()
-            e = Comparison(op, e, self.concat())
-        return e
-
-    def concat(self) -> Expr:
-        e = self.additive()
-        while self.at_op("&"):
-            self.next()
-            e = Arith2("&", e, self.additive())
-        return e
-
-    def additive(self) -> Expr:
-        e = self.multiplicative()
-        while self.at_op("+", "-"):
-            _, op, _ = self.next()
-            e = Arith2(op, e, self.multiplicative())
-        return e
-
-    def multiplicative(self) -> Expr:
-        e = self.power()
-        while self.at_op("*", "/"):
-            _, op, _ = self.next()
-            e = Arith2(op, e, self.power())
-        return e
-
-    def power(self) -> Expr:
+    def binary(self, level: int) -> Expr:
+        """An expression of operators that bind at ``level`` or tighter,
+        by precedence climbing.  A right operand takes only operators that
+        bind tighter, so a chain of one level folds to the left here."""
         e = self.unary()
-        while self.at_op("^"):
+        while True:
+            kind, op, _ = self.peek()
+            lvl = _BIN_LEVEL.get(op) if kind == "op" else None
+            if lvl is None or lvl < level:
+                return e
             self.next()
-            e = Arith2("^", e, self.unary())
-        return e
+            right = self.binary(lvl + 1)
+            e = (Comparison(op, e, right) if lvl == _LVL_CMP
+                 else Arith2(op, e, right))
 
     def unary(self) -> Expr:
         if self.at_op("-"):
@@ -393,7 +381,7 @@ class _Parser:
         if kind == "ident":
             return self.after_ident(val, pos)
         if kind == "op" and val == "(":
-            e = self.comparison()
+            e = self.binary(_LVL_CMP)
             self.expect_op(")")
             return e
         if kind == "op" and val == "{":
@@ -416,10 +404,10 @@ class _Parser:
             self.next()
             args = []
             if not self.at_op(")"):
-                args.append(self.comparison())
+                args.append(self.binary(_LVL_CMP))
                 while self.at_op(","):
                     self.next()
-                    args.append(self.comparison())
+                    args.append(self.binary(_LVL_CMP))
             self.expect_op(")")
             return self.make_call(ident.upper(), args, pos)
         m = _A1_RE.match(ident)
@@ -524,14 +512,6 @@ def parse_expr(text: str) -> Expr:
 
 # --- renderer ----------------------------------------------------------------
 
-# Precedence levels for parenthesization; higher binds tighter.
-_LVL_CMP, _LVL_CONCAT, _LVL_ADD, _LVL_MUL, _LVL_POW, _LVL_UNARY, _LVL_ATOM = \
-    range(1, 8)
-
-_BIN_LEVEL = {"&": _LVL_CONCAT, "+": _LVL_ADD, "-": _LVL_ADD,
-              "*": _LVL_MUL, "/": _LVL_MUL, "^": _LVL_POW}
-
-
 def render_expr(e: Expr) -> str:
     """Render a tree back to formula text (without the leading ``=``)."""
     return _render(e, 0)
@@ -555,13 +535,10 @@ def _render(e: Expr, ctx: int) -> str:
             return f"NOT({_render(e.arg, 0)})"
         s = "-" + _render(e.arg, _LVL_UNARY)
         return s if ctx < _LVL_UNARY else f"({s})"
-    if t is Arith2:
+    if t is Arith2 or t is Comparison:
         lvl = _BIN_LEVEL[e.op]
         s = f"{_render(e.left, lvl)}{e.op}{_render(e.right, lvl + 1)}"
         return s if ctx <= lvl else f"({s})"
-    if t is Comparison:
-        s = f"{_render(e.left, _LVL_CMP)}{e.op}{_render(e.right, _LVL_CMP + 1)}"
-        return s if ctx <= _LVL_CMP else f"({s})"
     if t is If:
         return (f"IF({_render(e.cond, 0)},{_render(e.then, 0)},"
                 f"{_render(e.other, 0)})")

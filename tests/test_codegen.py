@@ -1,6 +1,7 @@
 """Compiled bodies: IR shape, boxing discipline, tail calls, equivalence."""
 
 import inspect
+import os
 import random
 import struct
 import sys
@@ -87,6 +88,66 @@ def test_zero_input_function(define):
     w = define({"B2": "42", "B3": '=DEFINE("NILF", B2)'})
     assert call(w, "NILF") == Number(42.0)
     assert info_of(w, "NILF").compiled.out_ir == ["const 42", "box", "return"]
+
+
+# Together these bodies emit every IR mnemonic, in each compile mode that
+# can emit it; tests/codegen_listings.txt holds their full listings.
+EVERY_MNEMONIC_CELLS = {
+    # A guard knot: both cells go lazy.
+    "B1": "0", "B2": "=B1*2", "B3": "=B1+10",
+    "B4": "=IF(B1, IF(B2=1, B3, 2), IF(B3=1, B2, 3))",
+    "B5": '=DEFINE("KNOT", B4, B1)',
+    # A guarded cell reached on two paths, whose guards are memoized and
+    # shared with the output.
+    "C1": "0", "C2": "=1/C1", "C3": "=C2+1", "C4": "=C2*2",
+    "C5": "=IF(C1>0, C3, IF(C1<-1, C4, 7))",
+    "C6": '=DEFINE("SHG", C5, C1)',
+    # Double mode: operators, builtins with and without boxing, workbook
+    # reads, constant conditions, and IF, CHOOSE, AND and OR on numbers.
+    "D1": "0", "D2": "0",
+    "D3": "=-(D1^2)-SQRT(D1)+ISERROR(D2)+NOT(D1)+S!A1+SUM(S!A1:A2)"
+          "-(D2&1)+MOD(D1, 3)",
+    "D4": "=D3*IF(D1<3, D3, IF(#NA, 1, 2))+CHOOSE(D1, 1, D3, #DIV/0!)"
+          "+AND(D1, D2>0)+OR(D1=0, 2<D2)/CHOOSE(2, D3, 5)+IF(0, 1, D2)",
+    "D5": '=IF(D4>0, D4, "neg")',
+    "D6": '=DEFINE("NUM", D5, D1, D2)',
+    # Value mode: text, arrays, and IF, CHOOSE, AND and OR on values.
+    "E1": "0", "E2": "0",
+    "E3": '=E2&"x"',
+    "E4": '=E3&IF(E1, E3, CHOOSE(E2, "a", E1, {1,2}))&AND(E1, NOT(E2))'
+          '&OR(E1, E3)&CHOOSE(E1, E3, 7)&IF(NOT(E1<>E2), 1, 0)',
+    "E5": '=DEFINE("TXT", E4, E1, E2)',
+    # A call and a tail call.
+    "F1": "0", "F2": "=IF(F1=0, 1, F1*FACD(F1-1))",
+    "F3": '=DEFINE("FACD", F2, F1)',
+    "G1": "0", "G2": "=IF(G1<=0, 0, LOOP(G1-1))",
+    "G3": '=DEFINE("LOOP", G2, G1)',
+    # Closures and APPLY, in and out of tail position.
+    "H1": "0", "H2": "0",
+    "H3": "=APPLY(H2, H1)+1",
+    "H4": '=IF(H3>2, APPLY(CLOSURE("FACD", #NA), H3), APPLY(H2, 3))',
+    "H5": '=DEFINE("AP", H4, H1, H2)',
+}
+
+MNEMONICS = set(
+    "arg slot const error text value unwrap box store add sub mul div pow "
+    "neg not cmp nantest brf brbad jmp choose memo calld call concat "
+    "getcell getarea sdf tailsdf apply tailapply closure return".split())
+
+
+def test_listing_of_every_mnemonic_is_unchanged(define):
+    w = define(EVERY_MNEMONIC_CELLS)
+    listings = [info_of(w, name).compiled.listing
+                for name in ("KNOT", "SHG", "NUM", "TXT", "FACD", "LOOP", "AP")]
+    lines = "".join(listings).splitlines()
+    assert {ln.split()[0] for ln in lines if ln.startswith("  ")} \
+        == MNEMONICS | {"guard:"}
+    flags = {f for ln in lines if ln.startswith(".cell")
+             for f in ln.split()[4:]}
+    assert flags == {"guarded", "lazy"}
+    with open(os.path.join(os.path.dirname(__file__),
+                           "codegen_listings.txt"), encoding="utf-8") as f:
+        assert "\n".join(listings) == f.read()
 
 
 # --- boxing discipline -------------------------------------------------------

@@ -77,6 +77,21 @@ def test_unary_minus():
     assert e == Arith1("-", CellRef(CellAddr(None, 2, 1)))
     assert parse_expr("2^-2") == Arith2("^", num(2.0), num(-2.0))
     assert parse_expr("--5") == num(5.0)
+    assert parse_expr("-2^2") == Arith2("^", num(-2.0), num(2.0))
+
+
+@pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">=", "&",
+                                "+", "-", "*", "/", "^"])
+def test_every_binary_operator_is_left_associative(op):
+    node = Comparison if op in ("=", "<>", "<", "<=", ">", ">=") else Arith2
+    e = parse_expr(f"1{op}2{op}3")
+    assert e == node(op, node(op, num(1.0), num(2.0)), num(3.0))
+
+
+def test_deep_parentheses_parse_and_round_trip():
+    e = parse_formula("=" + "(" * 250 + "1+2" + ")" * 250)
+    assert e == Arith2("+", num(1.0), num(2.0))
+    assert parse_formula(render_formula(e)) == e
 
 
 def test_special_forms():

@@ -92,17 +92,17 @@ def test_inlining_off_same_values():
     full = build_body(load, out, ins, inline=False)
     assert len(full) > len(flat)
 
-    compiled = []
+    infos = []
     for body in (flat, full):
         fn_id = table.fresh_id()
         info = SdfInfo(fn_id, f"T{fn_id}", [a1("F", "B1").local()], body,
                        origin="define")
         info.compiled = codegen.compile_function(info, reg)
         table.install(info)
-        compiled.append(info.compiled)
+        infos.append(info)
     for x in (-3.0, 0.0, 2.5, 41.0):
-        a = table.call(compiled[0].fn_id, [Number(x)], w)
-        b = table.call(compiled[1].fn_id, [Number(x)], w)
+        a = table.call(infos[0].id, [Number(x)], w)
+        b = table.call(infos[1].id, [Number(x)], w)
         assert a == b == Number((x + 1) * 2 - x)
 
 
