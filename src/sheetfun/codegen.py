@@ -15,7 +15,11 @@ every slot: a lazy slot computes its cell on first read, and reading any
 other slot before its assignment raises.  If, CHOOSE, AND and OR share
 one compiler for both modes, which differ only in how a branch, a 0/1
 result and an error are produced; every two-way branch has the same
-``brf``/``brbad``/``jmp`` layout.
+``brf``/``brbad``/``jmp`` layout.  A cell's guard (``sdf.Guard``) goes
+through AND and OR's path compiler once, where a literal that reads
+false or anything but a number moves on to the next path.  A guard that
+is not trivial, and a guard atom (recognized by node identity before any
+other rule), is computed into a memo at its first site.
 
 The continuation generators are invoked at most once per site, so
 branches share code instead of duplicating it.  Compiling a constant
@@ -35,9 +39,9 @@ for ``dump-ir``; ``out_ir`` reads the output's lines from it.
 from __future__ import annotations
 
 from .formula import (
-    And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
-    Comparison, Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, Or, SdfCall,
+    And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose, Comparison, Const,
+    Expr, FunctionCall, If, MakeClosure, NormalCellArea, NormalCellRef, Or,
+    SdfCall,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
@@ -140,11 +144,12 @@ class _Slot:
 
 
 class _Ctx:
-    def __init__(self, registry):
+    def __init__(self, registry, shared):
         self.registry = registry
         self.args: dict[tuple[int, int], int] = {}
         self.slots: dict[tuple[int, int], _Slot] = {}
-        # id(CachedExpr node) -> (memo index, step reading the memo)
+        self.shared: set[int] = shared   # ids of the body's guard atoms
+        # id(guard atom or Guard) -> (memo index, step reading the memo)
         self.memo: dict[int, tuple] = {}
         self.lines: list[str] = []
         self.n_labels = 0
@@ -183,8 +188,6 @@ def is_numeric(e: Expr, registry, numeric_cell) -> bool:
         return True
     if t is Arith2:
         return e.op != "&"
-    if t is CachedExpr:
-        return True
     if t is CellRef:
         return numeric_cell(_key(e.addr))
     if t is If:
@@ -220,8 +223,11 @@ def _unboxed_call_exact(args, cx: _Ctx) -> bool:
     return True
 
 
-def compile_to_double(e: Expr, cx: _Ctx):
-    """Compile to a step producing a raw double (errors as NaNs)."""
+def compile_to_double(e: Expr, cx: _Ctx, memo: bool = True):
+    """Compile to a step producing a raw double (errors as NaNs); a guard
+    atom reads its memo unless ``memo`` is false (the memo's own code)."""
+    if memo and id(e) in cx.shared:
+        return _memo_step(e, cx, lambda: compile_to_double(e, cx, False))
     t = type(e)
     if t is Const:
         v = e.value
@@ -250,24 +256,12 @@ def compile_to_double(e: Expr, cx: _Ctx):
         f = BINARY_OPS[e.op]
         return lambda fr: f(s1(fr), s2(fr))
     elif t is Comparison:
-        s1, s2, cmp = _comparison_operands(e, cx)
-
-        def step(fr):
-            d1 = s1(fr)
-            if d1 != d1:
-                return d1
-            d2 = s2(fr)
-            if d2 != d2:
-                return d2
-            return 1.0 if cmp(d1, d2) else 0.0
-        return step
+        return _compare_double(*_comparison_operands(e, cx))
     elif t is Arith1:
         s = compile_to_double(e.arg, cx)
         cx.emit(_UNARY_NAMES[e.op])
         f = UNARY_OPS[e.op]
         return lambda fr: f(s(fr))
-    elif t is CachedExpr:
-        return _cached_double(e, cx)
     elif t is If or t is Choose or t is And or t is Or:
         return _control(e, cx, lambda b: compile_to_double(b, cx),
                         lambda c: _const_double_step(cx, c),
@@ -292,7 +286,7 @@ def compile_to_double(e: Expr, cx: _Ctx):
                 step = lambda fr: dfunc(fr.rt, *[s(fr) for s in sub])
             return _noting_volatile(step) if b.volatile else step
     # General case: build the boxed value, then unwrap.
-    s = compile_to_value(e, cx)
+    s = compile_to_value(e, cx, memo=False)
     cx.emit("unwrap")
     return lambda fr: to_double_or_nan(s(fr))
 
@@ -311,24 +305,25 @@ def _slot_step(slot: _Slot, cx: _Ctx):
     return step
 
 
-def _cached_double(e: CachedExpr, cx: _Ctx):
-    # A shared node compiles once; later sites reuse the memoized step.
-    hit = cx.memo.get(id(e))
+def _memo_step(node, cx: _Ctx, compile_inner):
+    """A double computed at most once per call: the first site emits
+    ``compile_inner()`` into a memo, later sites read the memo."""
+    hit = cx.memo.get(id(node))
     if hit is not None:
         idx, step = hit
         cx.emit(f"memo {idx}")
         return step
     idx = len(cx.memo)
-    cx.memo[id(e)] = (idx, None)    # reserve the index before the inner nodes
+    cx.memo[id(node)] = (idx, None)  # reserve the index before the inner nodes
     cx.emit(f"memo {idx} <-")
-    inner = compile_to_double(e.inner, cx)
+    inner = compile_inner()
 
     def step(fr):
         d = fr.memo[idx]
         if d is None:
             d = fr.memo[idx] = inner(fr)
         return d
-    cx.memo[id(e)] = (idx, step)
+    cx.memo[id(node)] = (idx, step)
     return step
 
 
@@ -352,6 +347,19 @@ def _comparison_operands(e: Comparison, cx: _Ctx):
     return s1, s2, COMPARE_OPS[e.op]
 
 
+def _compare_double(s1, s2, cmp):
+    """1 or 0, or the first operand's NaN."""
+    def step(fr):
+        d1 = s1(fr)
+        if d1 != d1:
+            return d1
+        d2 = s2(fr)
+        if d2 != d2:
+            return d2
+        return 1.0 if cmp(d1, d2) else 0.0
+    return step
+
+
 def _const_double_step(cx, c):
     cx.emit(f"const {format_number(c)}")
     return lambda fr: c
@@ -370,8 +378,8 @@ def _control(e: Expr, cx: _Ctx, branch, const, bad):
                                     lambda: branch(e.other), gen_bad)
     if t is Choose:
         return _choose_step(e, cx, branch, bad)
-    return _chain_condition(list(e.args), cx, lambda: const(1.0),
-                            lambda: const(0.0), gen_bad, is_and=t is And)
+    return _paths(_and_or_paths(e), cx, lambda: const(1.0),
+                  lambda: const(0.0), gen_bad)
 
 
 def _choose_step(e: Choose, cx: _Ctx, branch, bad):
@@ -418,7 +426,8 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
     ``gen_t``/``gen_f``/``gen_bad`` are invoked at most once each; the bad
     continuation finds the offending Value in ``fr.scratch``.
     """
-    t = type(e)
+    # A guard atom reads its memo, so it takes the general case.
+    t = None if id(e) in cx.shared else type(e)
     if t is Const and type(e.value) in (Number, ErrorValue):
         # Constant: decide now, emit only the surviving branch.
         c = to_double_or_nan(e.value)
@@ -442,8 +451,7 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
             lambda: compile_to_condition(e.other, cx, gen_t, gen_f, gen_bad),
             gen_bad)
     if t is And or t is Or:
-        return _chain_condition(list(e.args), cx, gen_t, gen_f, gen_bad,
-                                is_and=t is And)
+        return _paths(_and_or_paths(e), cx, gen_t, gen_f, gen_bad)
     if t is Comparison:
         s1, s2, cmp = _comparison_operands(e, cx)
         t_step, f_step, bad_step = _branches(cx, gen_t, gen_f, gen_bad)
@@ -461,7 +469,11 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
                 return t_step(fr)
             return f_step(fr)
         return step
-    s = compile_to_double(e, cx)
+    return _branch_on(compile_to_double(e, cx), cx, gen_t, gen_f, gen_bad)
+
+
+def _branch_on(s, cx: _Ctx, gen_t, gen_f, gen_bad):
+    """Branch on the double that step ``s`` computes: nonzero, zero or NaN."""
     t_step, f_step, bad_step = _branches(cx, gen_t, gen_f, gen_bad)
 
     def step(fr):
@@ -492,26 +504,72 @@ def _branches(cx: _Ctx, gen_t, gen_f, gen_bad):
     return t_step, f_step, bad_step
 
 
-def _chain_condition(args, cx: _Ctx, gen_t, gen_f, gen_bad, *, is_and):
-    """AND/OR as a short-circuit chain of conditions."""
-    gen_t, gen_f, gen_bad = _once(gen_t), _once(gen_f), _once(gen_bad)
+def _and_or_paths(e):
+    """AND as one path of its arguments, OR as one path per argument."""
+    lits = tuple(("pos", a) for a in e.args)
+    return (lits,) if type(e) is And else tuple((lit,) for lit in lits)
 
-    def build(i):
-        if i == len(args):
-            return gen_t() if is_and else gen_f()
-        later = lambda: build(i + 1)
-        if is_and:
-            return compile_to_condition(args[i], cx, later, gen_f, gen_bad)
-        return compile_to_condition(args[i], cx, gen_t, later, gen_bad)
 
-    return build(0)
+def _paths(paths, cx: _Ctx, gen_t, gen_f, gen_bad=None):
+    """Branch on whether some path holds, trying each path's literals (see
+    ``sdf.Guard``) in turn.  A literal that reads false moves on to the
+    next path; one that reads anything but a number goes to ``gen_bad``,
+    or without one moves on too."""
+    gen_t, gen_f = _once(gen_t), _once(gen_f)
+    gen_bad = gen_bad and _once(gen_bad)
+
+    def path(i):
+        fail = gen_f if i + 1 == len(paths) else _once(lambda: path(i + 1))
+
+        def chain(j):
+            if j == len(paths[i]):
+                return gen_t()
+            lit = paths[i][j]
+            t, f = lambda: chain(j + 1), fail
+            if lit[0] == "neg":
+                t, f = f, t
+            if lit[0] == "pos" or lit[0] == "neg":
+                return compile_to_condition(lit[1], cx, t, f, gen_bad or fail)
+            return _branch_on(_literal_double(lit, cx), cx, t, f,
+                              gen_bad or fail)
+        return chain(0)
+    return path(0)
+
+
+def _literal_double(lit, cx: _Ctx):
+    """A guard literal as a double: the atom, its NOT, TRUNC(index) = k,
+    or a parent guard's memo, which holds its one literal's double or
+    else 1 when some path holds and 0 when none does."""
+    if lit[0] == "cond":
+        g = lit[1]
+        return _memo_step(g, cx, lambda: (
+            _literal_double(g[0][0], cx) if len(g) == 1 and len(g[0]) == 1
+            else _paths(g, cx, lambda: _const_double_step(cx, 1.0),
+                        lambda: _const_double_step(cx, 0.0))))
+    s = compile_to_double(lit[1], cx)
+    if lit[0] == "neg":
+        cx.emit("not")
+        f = UNARY_OPS["NOT"]
+        return lambda fr: f(s(fr))
+    if lit[0] == "sel":
+        trunc = cx.registry.get("TRUNC").dfunc
+        cx.emit("calld TRUNC 1")
+        cx.emit("nantest")
+        k = _const_double_step(cx, float(lit[2]))
+        cx.emit("cmp eq")
+        return _compare_double(lambda fr: trunc(fr.rt, s(fr)), k,
+                               COMPARE_OPS["="])
+    return s
 
 
 # --- value mode --------------------------------------------------------------
 
-def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
+def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False,
+                     memo: bool = True):
     """Compile to a step producing a boxed Value (or a TailCall token in
-    tail position)."""
+    tail position); a guard atom boxes its memo unless ``memo`` is false."""
+    if memo and id(e) in cx.shared:
+        return _box_step(compile_to_double(e, cx), cx)
     t = type(e)
     if t is Const:
         v = e.value
@@ -531,10 +589,7 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
             return lambda fr: fr.args[i]
         slot = cx.slots[k]
         s = _slot_step(slot, cx)
-        if not slot.numeric:
-            return s
-        cx.emit("box")
-        return lambda fr: make_number(s(fr))
+        return _box_step(s, cx) if slot.numeric else s
     if t is NormalCellRef:
         addr = e.addr
         cx.emit(f"getcell {addr.text()}")
@@ -548,10 +603,8 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
         s2 = compile_to_value(e.right, cx)
         cx.emit("concat")
         return lambda fr: fconcat_values(s1(fr), s2(fr))
-    if t in (Arith1, Arith2, Comparison, CachedExpr):
-        s = compile_to_double(e, cx)
-        cx.emit("box")
-        return lambda fr: make_number(s(fr))
+    if t in (Arith1, Arith2, Comparison):
+        return _box_step(compile_to_double(e, cx), cx)
     if t is If or t is Choose or t is And or t is Or:
         return _control(e, cx, lambda b: compile_to_value(b, cx, tail),
                         lambda c: _boxed_const_step(cx, c),
@@ -569,6 +622,11 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
         return lambda fr: fr.rt.function_table.make_closure(
             sf(fr), [s(fr) for s in sub])
     raise TypeError(f"cannot compile {e!r}")
+
+
+def _box_step(s, cx):
+    cx.emit("box")
+    return lambda fr: make_number(s(fr))
 
 
 def _boxed_const_step(cx, c):
@@ -631,7 +689,7 @@ def _apply_value(e: Apply, cx: _Ctx, tail: bool):
 
 def compile_function(info, registry) -> CompiledFunction:
     """Compile an SdfInfo's ComputeCell list (last entry is the output)."""
-    cx = _Ctx(registry)
+    cx = _Ctx(registry, {id(a) for cell in info.body for a in cell.shared})
     for i, addr in enumerate(info.inputs):
         cx.args[_key(addr)] = i
 
@@ -671,12 +729,9 @@ def compile_function(info, registry) -> CompiledFunction:
             steps.append(assign)
             continue
         cx.raw("  guard:")
-        skip = lambda: (lambda fr: None)
-        step = compile_to_condition(
-            cell.eval_cond, cx,
-            gen_t=lambda: make_assign()[0],
-            gen_f=skip, gen_bad=skip)
-        steps.append(step)
+        steps.append(_paths(((cell.eval_cond.literal,),), cx,
+                            lambda: make_assign()[0],
+                            lambda: (lambda fr: None)))
 
     cx.raw(f".out {out.addr.local().text()}")
     out_step = compile_to_value(out.expr, cx, tail=True)

@@ -40,9 +40,9 @@ import time
 
 from . import codegen, peval, sdf
 from .formula import (
-    And, Apply, Arith1, Arith2, CachedExpr, CellAddr, CellRef, Choose,
-    Comparison, Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, Or, SdfCall, SIGNED_NUMBER_RE, parse_formula,
+    And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose, Comparison, Const,
+    Expr, FunctionCall, If, MakeClosure, NormalCellArea, NormalCellRef, Or,
+    SdfCall, SIGNED_NUMBER_RE, parse_formula,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
@@ -853,8 +853,6 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
         return _eval_make_closure(e, at, wb)
     if t is Apply:
         return _eval_apply(e, at, wb)
-    if t is CachedExpr:
-        return eval_expr(e.inner, at, wb)
     raise TypeError(f"cannot evaluate {e!r}")
 
 

@@ -12,8 +12,7 @@ value itself (number, text, error, array or closure), and the renderer
 writes it with ``values.literal``, so a negative zero reads back signed.
 
 ``parse_formula`` and ``render_formula`` round-trip: parsing a rendered
-tree yields an equal tree (cache wrappers excepted, they render
-transparently).
+tree yields an equal tree.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ __all__ = [
     "render_expr", "render_formula", "col_to_letters", "letters_to_col",
     "Expr", "Const", "CellRef", "NormalCellRef", "NormalCellArea", "Arith1",
     "Arith2", "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
-    "If", "Choose", "And", "Or", "CachedExpr", "LEAF_TYPES", "children",
-    "map_children", "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE",
+    "If", "Choose", "And", "Or", "LEAF_TYPES", "children", "map_children",
+    "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE",
 ]
 
 
@@ -196,13 +195,6 @@ class Or(Expr):
     args: tuple
 
 
-@dataclass(frozen=True)
-class CachedExpr(Expr):
-    """Shared subterm evaluated at most once per call (per memo slot)."""
-
-    inner: Expr
-
-
 def _leaf(e):
     return ()
 
@@ -225,7 +217,6 @@ _SHAPES = {
     MakeClosure: (lambda e: (e.fn, *e.args),
                   lambda e, c: MakeClosure(c[0], c[1:])),
     Apply: (lambda e: (e.fn, *e.args), lambda e, c: Apply(c[0], c[1:])),
-    CachedExpr: (lambda e: (e.inner,), lambda e, c: CachedExpr(c[0])),
 }
 LEAF_TYPES = frozenset((Const, CellRef, NormalCellRef, NormalCellArea))
 _SHAPES.update((t, (_leaf, None)) for t in LEAF_TYPES)
@@ -556,6 +547,4 @@ def _render(e: Expr, ctx: int) -> str:
     if t is Apply:
         parts = [_render(e.fn, 0)] + [_render(a, 0) for a in e.args]
         return f"APPLY({','.join(parts)})"
-    if t is CachedExpr:
-        return _render(e.inner, ctx)
     raise TypeError(f"cannot render {e!r}")

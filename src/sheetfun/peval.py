@@ -21,10 +21,17 @@ recursion that never terminates on the given statics) hit a per-function
 budget; the whole attempt is then rolled back and the original closure
 returned.
 
-Residual bodies re-enter the normal pipeline (reachability, inlining,
-evaluation conditions, code generation), so cells whose evaluation
-condition became statically false disappear without their calls ever
-being specialized.
+A cell's evaluation condition, an ``sdf.Guard``, is reduced directly,
+literal by literal, with ``dyn`` turning true after the first dynamic
+one as in an AND or OR: a static literal that holds drops out of its
+path and one that fails kills the path.  A guard with no live path
+drops its cell before its formula is looked at, so the cell's calls are
+never specialized; one with a path that holds makes the cell
+unconditional.  Each condition-position node is reduced once per body
+and ``dyn``, so a guard atom costs one reduction for its cell's
+expression and every guard that reads it.  Residual bodies re-enter the
+normal pipeline (reachability, inlining, evaluation conditions, code
+generation).
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import sys
 
 from . import codegen, engine, sdf
 from .formula import (
-    And, Apply, Arith2, CachedExpr, CellRef, Choose, Comparison, Const,
-    Expr, FunctionCall, If, NormalCellArea, NormalCellRef, Or, SdfCall,
-    children, map_children,
+    And, Apply, Arith2, CellRef, Choose, Comparison, Const, Expr,
+    FunctionCall, If, NormalCellArea, NormalCellRef, Or, SdfCall, children,
+    map_children,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, ErrorValue,
@@ -76,6 +83,16 @@ def _key(addr) -> tuple:
     return (addr.col, addr.row)
 
 
+def _holds(lit, r: Expr) -> bool | None:
+    """Whether a guard literal holds on its atom's reduction ``r`` (None
+    when that is dynamic); a value that is not a number fails it."""
+    if type(r) is not Const:
+        return None
+    if lit[0] == "sel":     # TRUNC(index) = k
+        return choose_index(to_double_or_nan(r.value), lit[2]) == lit[2] - 1
+    return truth(r.value) is (lit[0] == "pos")
+
+
 def _pattern_text(pattern) -> str:
     return "(" + ",".join("#NA" if p is HOLE else display(p)
                           for p in pattern) + ")"
@@ -92,7 +109,8 @@ class Specializer:
         self.cache: dict = {}
         # The specializations in progress, innermost last: (target id,
         # pattern tuple, keys of the residual cells of its body that
-        # certainly hold a number or an error).
+        # certainly hold a number or an error, and the reductions of its
+        # condition-position nodes and guards by (id, dyn)).
         self.active: list = []
         # Observer for cache hits, generalizations, new residuals and
         # limit trips; called with dicts keyed event/function/pattern/action.
@@ -182,7 +200,7 @@ class Specializer:
         # pattern resolves to the residual under construction.
         self.cache[pkey] = entry
         self._journal.append((pkey, res_id))
-        self.active.append((target, pattern, set()))
+        self.active.append((target, pattern, set(), {}))
         try:
             body = self._pe_body(info, pattern)
         finally:
@@ -208,18 +226,13 @@ class Specializer:
         res_cells: dict = {}
         for cell in info.body[:-1]:
             k = _key(cell.addr)
-            under_dyn = cell.lazy
-            if cell.eval_cond is not None:
-                g = self._pe(cell.eval_cond, env, False)
-                if type(g) is Const:
-                    d = to_double_or_nan(g.value)
-                    if d != d or d == 0.0:
-                        # Statically unreachable: drop the cell before
-                        # looking at (or specializing) its formula.
-                        continue
-                else:
-                    under_dyn = True
-            r = self._pe(cell.expr, env, under_dyn)
+            holds = (cell.eval_cond is None
+                     or self._pe_guard(cell.eval_cond, env, False))
+            if holds is False:
+                # Statically unreachable: drop the cell before looking at
+                # (or specializing) its formula.
+                continue
+            r = self._pe(cell.expr, env, cell.lazy or holds is None)
             if type(r) is Const:
                 env[k] = r
             else:
@@ -273,8 +286,6 @@ class Specializer:
             return self._pe_call(e.target, e.name, reduced, dyn)
         if t is Apply:
             return self._pe_apply(e, env, dyn)
-        if t is CachedExpr:
-            return self._pe(e.inner, env, dyn)
         # Arith1, a builtin call or CLOSURE: every child is evaluated.
         r = map_children(e, lambda c: self._pe(c, env, dyn))
         args = children(r)
@@ -344,8 +355,38 @@ class Specializer:
             return _ONE if COMPARE_OPS[e.op](da, db) else _ZERO
         return Comparison(e.op, l, r)
 
+    def _atom(self, e: Expr, env, dyn):
+        """Reduce a condition-position node, once per body and ``dyn``."""
+        memo = self.active[-1][3]
+        key = (id(e), dyn)
+        if key not in memo:
+            memo[key] = self._pe(e, env, dyn)
+        return memo[key]
+
+    def _pe_guard(self, g, env, dyn):
+        """Reduce a guard: True when a path statically holds, False when
+        none can, None when that depends on the dynamic inputs."""
+        memo = self.active[-1][3]
+        key = (id(g), dyn)
+        if key not in memo:
+            memo[key] = False
+            for path in g:
+                static = True
+                for lit in path:
+                    s = (self._pe_guard(lit[1], env, dyn) if lit[0] == "cond"
+                         else _holds(lit, self._atom(lit[1], env, dyn)))
+                    if s is False:
+                        break
+                    if s is None:
+                        static, dyn = False, True
+                else:
+                    memo[key] = static or None
+                    if static:
+                        break
+        return memo[key]
+
     def _pe_if(self, e: If, env, dyn):
-        c = self._pe(e.cond, env, dyn)
+        c = self._atom(e.cond, env, dyn)
         if type(c) is Const:
             tr = truth(c.value)
             if isinstance(tr, Value):
@@ -355,7 +396,7 @@ class Specializer:
                   self._pe(e.other, env, True))
 
     def _pe_choose(self, e: Choose, env, dyn):
-        c = self._pe(e.index, env, dyn)
+        c = self._atom(e.index, env, dyn)
         if type(c) is Const:
             d = to_double_or_nan(c.value)
             if d != d:
@@ -373,20 +414,16 @@ class Specializer:
         residual: list[Expr] = []
         under = dyn
         for a in e.args:
-            r = self._pe(a, env, under)
+            r = self._atom(a, env, under)
             if type(r) is Const:
                 tr = truth(r.value)
-                if isinstance(tr, Value):
+                if isinstance(tr, Value) or tr != is_and:
+                    # An error or a deciding constant: later arguments
+                    # never run.
+                    c = Const(tr) if isinstance(tr, Value) else decide
                     if not residual:
-                        return Const(tr)
-                    # Error decides: later arguments never run.
-                    residual.append(Const(tr))
-                    break
-                if tr == (not is_and):
-                    if not residual:
-                        return decide
-                    # Deciding constant after dynamics: truncate here.
-                    residual.append(decide)
+                        return c
+                    residual.append(c)
                     break
                 continue        # neutral constant: drop
             residual.append(r)
@@ -427,7 +464,7 @@ class Specializer:
             return SdfCall(target, name, tuple(reduced))
         if dyn:
             act = None
-            for at, ap, _ in reversed(self.active):
+            for at, ap, *_ in reversed(self.active):
                 if at == target:
                     act = ap
                     break

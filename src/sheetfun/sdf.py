@@ -7,12 +7,12 @@ callable function.  Compilation proceeds in steps:
    leaves; their stored formulas are ignored),
 2. topologically sort them; static cycles are rejected,
 3. inline cells referenced exactly once (never inputs),
-4. attach evaluation conditions: a cell executes only when some
-   conditional path that references it is live (a path whose guard
-   reads anything but a number is not).  Guard subterms shared
-   between a condition and its home expression are wrapped in CachedExpr
-   so each is computed once per call.  Cells whose conditions would read
-   slots that cannot be ordered first fall back to lazy on-demand slots,
+4. attach evaluation conditions: a cell executes only when some path
+   that references it is live.  A condition is a Guard over literals;
+   one that reads anything but a number fails its own path only.  Each
+   ComputeCell records the guard atoms of its expression, each computed
+   once per call.  Cells whose conditions would read slots that cannot
+   be ordered first fall back to lazy on-demand slots,
 5. code generation (see codegen).
 
 A call to a name that is not a builtin is linked to the name's id when
@@ -35,16 +35,16 @@ from collections import Counter
 
 from . import codegen
 from .formula import (
-    LEAF_TYPES, PARSER_FORMS, And, Arith1, CachedExpr, CellAddr, CellRef,
-    Choose, Comparison, Const, Expr, FunctionCall, If, NormalCellArea,
-    NormalCellRef, Or, SdfCall, children, map_children, walk,
+    LEAF_TYPES, PARSER_FORMS, And, CellAddr, CellRef, Choose, Const, Expr,
+    FunctionCall, If, NormalCellArea, NormalCellRef, Or, SdfCall, children,
+    map_children, walk,
 )
 from .values import (
     ERROR_NA, ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE,
     Number, Text, Value,
 )
 
-__all__ = ["ComputeCell", "SdfInfo", "FunctionTable", "DefineError",
+__all__ = ["Guard", "ComputeCell", "SdfInfo", "FunctionTable", "DefineError",
            "define", "canonical_name", "build_body"]
 
 
@@ -52,18 +52,45 @@ class DefineError(Exception):
     """A function definition was rejected; the message says why."""
 
 
+class Guard(tuple):
+    """An evaluation condition, the tuple of its paths: its cell runs when
+    some path holds.
+
+    A path is a tuple of literals that must all hold: ``("pos", atom)`` or
+    ``("neg", atom)``, the atom reads true or false; ``("sel", atom, k)``,
+    the CHOOSE index atom selects branch k; ``("cond", guard)``, the guard
+    of a referencing cell holds.  Atoms are nodes of the body.  A literal
+    that reads anything but a number fails its own path only.
+    """
+
+    __slots__ = ()
+
+    @property
+    def literal(self) -> tuple:
+        """The literal that reads this guard: its one literal when that is
+        cheap to read again, else a ``cond`` literal (the guard's memo)."""
+        lit = self[0][0]
+        if len(self) == 1 and len(self[0]) == 1 and (
+                lit[0] == "cond" or lit[0] == "pos"
+                and type(lit[1]) not in (NormalCellRef, NormalCellArea)):
+            return lit
+        return ("cond", self)
+
+
 class ComputeCell:
     """One guarded assignment of a compiled body; the last cell of a body
-    is the output and carries no condition."""
+    is the output and carries no condition.  ``shared`` holds the guard
+    atoms of ``expr``: each is computed at most once per call."""
 
-    __slots__ = ("addr", "expr", "eval_cond", "lazy")
+    __slots__ = ("addr", "expr", "eval_cond", "lazy", "shared")
 
-    def __init__(self, addr: CellAddr, expr: Expr, eval_cond: Expr | None,
-                 lazy: bool = False):
+    def __init__(self, addr: CellAddr, expr: Expr, eval_cond: Guard | None,
+                 lazy: bool = False, shared: tuple = ()):
         self.addr = addr
         self.expr = expr
         self.eval_cond = eval_cond
         self.lazy = lazy
+        self.shared = shared
 
     def __repr__(self):
         flags = " lazy" if self.lazy else ""
@@ -354,23 +381,7 @@ def _inline_single_use(cellmap, order, out_key, input_keys) -> None:
                 break
 
 
-def _is_trivial(e: Expr) -> bool:
-    return type(e) in (Const, CellRef, CachedExpr)
-
-
-def _rebuild_with_wraps(e: Expr, need: set, nodemap: dict) -> Expr:
-    """Rebuild a tree, wrapping nodes whose id is in ``need`` in CachedExpr.
-    ``nodemap`` maps old node ids to the rebuilt (possibly wrapped) nodes
-    so condition literals can point at the shared objects.  Leaves are
-    never wrapped, and ``need`` holds no CachedExpr (they are trivial)."""
-    new = map_children(e, lambda c: _rebuild_with_wraps(c, need, nodemap))
-    if id(e) in need and type(e) not in LEAF_TYPES:
-        new = CachedExpr(new)
-    nodemap[id(e)] = new
-    return new
-
-
-def _collect_sites(e: Expr, path: list, sites: dict) -> None:
+def _collect_sites(e: Expr, path: tuple, sites: dict) -> None:
     """Record, per referenced cell, the conditional path to each reference.
 
     Branch literals come from If/Choose and from the short-circuit
@@ -380,65 +391,22 @@ def _collect_sites(e: Expr, path: list, sites: dict) -> None:
     """
     t = type(e)
     if t is CellRef:
-        key = (e.addr.col, e.addr.row)
-        sites.setdefault(key, []).append(tuple(path))
+        sites.setdefault((e.addr.col, e.addr.row), []).append(path)
         return
     if t is If:
-        _collect_sites(e.cond, path, sites)
-        path.append(("pos", e.cond))
-        _collect_sites(e.then, path, sites)
-        path.pop()
-        path.append(("neg", e.cond))
-        _collect_sites(e.other, path, sites)
-        path.pop()
-        return
-    if t is Choose:
-        _collect_sites(e.index, path, sites)
-        for i, b in enumerate(e.branches):
-            path.append(("sel", e.index, i + 1))
-            _collect_sites(b, path, sites)
-            path.pop()
-        return
-    if t is And or t is Or:
+        kids = ((e.cond, ()), (e.then, (("pos", e.cond),)),
+                (e.other, (("neg", e.cond),)))
+    elif t is Choose:
+        kids = ((e.index, ()),) + tuple(
+            (b, (("sel", e.index, i + 1),)) for i, b in enumerate(e.branches))
+    elif t is And or t is Or:
         mark = "pos" if t is And else "neg"
-        for j, a in enumerate(e.args):
-            extra = [(mark, prev) for prev in e.args[:j]]
-            path.extend(extra)
-            _collect_sites(a, path, sites)
-            del path[len(path) - len(extra):]
-        return
-    for c in children(e):
-        _collect_sites(c, path, sites)
-
-
-def _literal_expr(lit, nodemap) -> Expr:
-    if lit[0] == "pos":
-        return nodemap[id(lit[1])]
-    if lit[0] == "neg":
-        return Arith1("NOT", nodemap[id(lit[1])])
-    node = nodemap[id(lit[1])]
-    return Comparison("=", FunctionCall("TRUNC", (node,)),
-                      Const(Number(float(lit[2]))))
-
-
-def _and_expr(parts: list) -> Expr:
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-
-def _or_expr(parts: list, sources: list) -> Expr:
-    """The disjunction of the paths to a cell.  A path is not taken when a
-    guard node on it reads anything but a number, but OR stops at the
-    error that path then yields.  That is harmless when every later path
-    reads the same guard nodes (``sources``: their ids, path by path);
-    otherwise the path is wrapped to read false instead."""
-    out = []
-    for i, p in enumerate(parts[:-1]):
-        if not all(sources[i] <= later for later in sources[i + 1:]):
-            # AND turns a text guard into an error, which ISERROR sees.
-            q = p if type(p) is And else And((p,))
-            p = And((Arith1("NOT", FunctionCall("ISERROR", (q,))), q))
-        out.append(p)
-    return Or(tuple(out) + (parts[-1],)) if out else parts[0]
+        kids = ((a, tuple((mark, p) for p in e.args[:j]))
+                for j, a in enumerate(e.args))
+    else:
+        kids = ((c, ()) for c in children(e))
+    for c, lits in kids:
+        _collect_sites(c, path + lits, sites)
 
 
 def _subsume_paths(paths):
@@ -451,116 +419,68 @@ def _subsume_paths(paths):
     literals that may mention the cell itself (a guard can test the very
     cell it protects a second use of), which would otherwise put the
     cell into its own evaluation condition."""
-    sigs = [tuple((l[0], id(l[1])) + l[2:] for l in p) for p in paths]
-    kept: list = []
-    kept_sigs: list = []
-    for p, s in sorted(zip(paths, sigs), key=lambda t: len(t[1])):
-        if any(s[:len(q)] == q for q in kept_sigs):
-            continue
-        kept.append(p)
-        kept_sigs.append(s)
-    return kept
+    kept: dict = {}     # a path's literals by node identity -> the path
+    for p in sorted(paths, key=len):
+        s = tuple((lit[0], id(lit[1])) + lit[2:] for lit in p)
+        if not any(s[:len(q)] == q for q in kept):
+            kept[s] = p
+    return list(kept.values())
 
 
 def _attach_conditions(cellmap, order, out_key):
     """Step 4: evaluation conditions, condition-aware ordering, lazy
-    fallback.  Returns the final ComputeCell list (output last)."""
-    # Collect reference sites and the guard nodes used by path literals.
-    sites_by_cell: dict[tuple, dict] = {}
+    fallback.  Returns the final ComputeCell list (output last, as it is
+    in ``order``)."""
+    # The reference sites of each cell, referencing cells in order, and
+    # each cell's guard atoms: the nodes its sites' literals read.
+    sites_of: dict[tuple, list] = {k: [] for k in order}
+    atoms: dict[tuple, dict] = {}
     for key in order:
         sites: dict = {}
-        _collect_sites(cellmap[key], [], sites)
+        _collect_sites(cellmap[key], (), sites)
+        atoms[key] = {}
         for k2, paths in sites.items():
-            sites[k2] = _subsume_paths(paths)
-        sites_by_cell[key] = sites
-
-    need: set[int] = set()
-    for sites in sites_by_cell.values():
-        for key, paths in sites.items():
-            if key not in cellmap:
-                continue    # reference to an input: never guarded
-            for path in paths:
-                for lit in path:
-                    node = lit[1]
-                    if not _is_trivial(node):
-                        need.add(id(node))
-
-    nodemap: dict[int, Expr] = {}
-    for key in order:
-        cellmap[key] = _rebuild_with_wraps(cellmap[key], need, nodemap)
+            if k2 in cellmap:     # an input is never guarded
+                for path in _subsume_paths(paths):
+                    sites_of[k2].append((key, path))
+                    atoms[key].update((id(lit[1]), lit[1]) for lit in path
+                                      if type(lit[1]) not in LEAF_TYPES)
 
     # Evaluation conditions, output first (reverse topological order).
-    ec: dict[tuple, Expr | None] = {out_key: None}
-    dropped: set[tuple] = set()
-    for key in reversed(order):
-        if key == out_key:
-            continue
-        disjuncts = []
-        sources = []
-        always = False
-        for parent in order:
-            if parent in dropped:
-                continue
-            for path in sites_by_cell[parent].get(key, ()):
-                parts = []
-                pc = ec.get(parent)
-                if pc is not None:
-                    parts.append(pc)
-                parts.extend(_literal_expr(lit, nodemap) for lit in path)
-                if not parts:
-                    always = True
-                    break
-                disjuncts.append(_and_expr(parts))
-                sources.append({id(lit[1]) for lit in path}
-                               | ({id(pc)} if pc is not None else set()))
-            if always:
+    # ``reads`` maps the id of an atom or a guard to the cells it reads;
+    # a cell must follow everything its expression and its guard read.
+    ec: dict[tuple, Guard | None] = {out_key: None}
+    reads: dict[int, set] = {}
+    deps: dict[tuple, set] = {}
+    for key in reversed(order[:-1]):
+        paths, r = [], set()
+        for parent, path in sites_of[key]:
+            if ec[parent] is not None:
+                path = (ec[parent].literal,) + path
+            if not path:
+                paths, r = None, set()
                 break
-        if always:
-            ec[key] = None
-        elif not disjuncts:
-            dropped.add(key)
-        else:
-            cond = _or_expr(disjuncts, sources)
-            # Share the condition between this guard and child guards.
-            if not _is_trivial(cond):
-                cond = CachedExpr(cond)
-            ec[key] = cond
+            paths.append(path)
+            for lit in path:
+                if id(lit[1]) not in reads:     # an atom seen first
+                    reads[id(lit[1])] = set(_local_refs(lit[1]))
+                r |= reads[id(lit[1])]
+        ec[key] = g = Guard(paths) if paths else None
+        if g is not None:
+            reads[id(g)] = r
+        deps[key] = (set(_local_refs(cellmap[key])) | r) & cellmap.keys()
 
-    # Condition-aware order: a cell must follow everything its guard reads.
-    cells = [k for k in order if k != out_key and k not in dropped]
-    live = set(cells)
-    deps = {}
-    for k in cells:
-        d = set(_local_refs(cellmap[k]))
-        if ec[k] is not None:
-            # A guard that reads its own cell (through a nested parent
-            # condition) cannot be ordered; the knot goes lazy below.
-            d |= set(_local_refs(ec[k]))
-        deps[k] = d & live
-
-    seq: list[tuple] = []
-    lazy: set[tuple] = set()
-    done: set[tuple] = set()
-    pending = list(cells)
-    while pending:
-        pick = None
-        for k in pending:
-            if deps[k] <= done | lazy:
-                pick = k
-                break
-        if pick is None:
-            # Guard dependencies form a knot; evaluate the rest on demand.
-            lazy.update(pending)
-            break
+    # Each step takes the first cell whose reads are all done.  A guard
+    # that reads its own cell (through a nested parent condition) cannot
+    # be ordered: such a knot and the cells still pending go lazy.
+    done: dict[tuple, None] = {}
+    pending = order[:-1]
+    while pick := next((k for k in pending if deps[k] <= done.keys()), None):
         pending.remove(pick)
-        done.add(pick)
-        seq.append(pick)
+        done[pick] = None
 
-    body = []
-    for k in seq:
-        body.append(ComputeCell(CellAddr(None, *k), cellmap[k], ec[k]))
-    for k in (k for k in cells if k in lazy):
-        body.append(ComputeCell(CellAddr(None, *k), cellmap[k], None,
-                                lazy=True))
-    body.append(ComputeCell(CellAddr(None, *out_key), cellmap[out_key], None))
-    return body
+    def cell(k, guard=None, lazy=False):
+        return ComputeCell(CellAddr(None, *k), cellmap[k], guard, lazy,
+                           tuple(atoms[k].values()))
+    return ([cell(k, ec[k]) for k in done]
+            + [cell(k, lazy=True) for k in pending] + [cell(out_key)])

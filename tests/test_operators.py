@@ -16,9 +16,9 @@ import pytest
 from sheetfun import CellAddr, Number, Text
 from sheetfun.engine import eval_expr
 from sheetfun.formula import (
-    And, Apply, Arith1, Arith2, CachedExpr, CellRef, Choose, Comparison,
-    Const, Expr, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, Or, SdfCall, children, map_children, walk,
+    And, Apply, Arith1, Arith2, CellRef, Choose, Comparison, Const, Expr,
+    FunctionCall, If, MakeClosure, NormalCellArea, NormalCellRef, Or,
+    SdfCall, children, map_children, walk,
 )
 from sheetfun.values import (
     BINARY_OPS, COMPARE_OPS, ERROR_DIV0, ERROR_NA, ERROR_NUM, ERROR_VALUE,
@@ -195,7 +195,6 @@ SAMPLES = {
     Choose: Choose(A, (B, C)),
     And: And((A, C)),
     Or: Or((C, A)),
-    CachedExpr: CachedExpr(Arith1("-", C)),
 }
 
 
@@ -240,7 +239,7 @@ def test_map_children_replacement_keeps_type_and_fields(t):
 
 def test_walk_is_preorder():
     inner = Arith2("*", C, B)
-    tree = If(Comparison("=", A, inner), CachedExpr(C), Or((B, A)))
+    tree = If(Comparison("=", A, inner), Arith1("-", C), Or((B, A)))
     got = list(walk(tree))
     want = [tree, tree.cond, A, inner, C, B, tree.then, C, tree.other, B, A]
     assert len(got) == len(want)

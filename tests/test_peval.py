@@ -345,8 +345,21 @@ def test_random_residuals_agree_with_the_original():
         cells["C4"] = '=DEFINE("F", C3, B1, B2, B3)'
         w = make_wb(cells, strict_simplify=True)
         target = w.function_table.lookup_name("F")
+        # The same cells on an ordinary sheet, for the interpreter; in a
+        # workbook of their own, so its recalculation (which re-runs each
+        # DEFINE) leaves the specializer cache of ``w`` alone.
+        ws = make_wb(HELPER)
         for _ in range(3):
             args = [rng.choice(POOL) for _ in range(3)]
+            # The compiled original against the interpreter.
+            fill(ws, "S", {"B1": "=" + literal(args[0]),
+                           "B2": "=" + literal(args[1]),
+                           "B3": "=" + literal(args[2]),
+                           "C1": cells["C1"], "C2": cells["C2"],
+                           "C3": cells["C3"]})
+            ws.recalculate()
+            assert value_key(call(w, "F", *args)) == \
+                value_key(ws.get_value(a1("S", "C3"))), (cells, args)
             for split in splits:
                 captured = [a if static else HOLE
                             for a, static in zip(args, split)]

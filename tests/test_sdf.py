@@ -9,7 +9,7 @@ from sheetfun.values import (
     ERROR_DIV0, ERROR_NAME, ERROR_NUM, ERROR_VALUE, ErrorValue, HOLE, display,
     literal,
 )
-from sheetfun import codegen, sdf
+from sheetfun import codegen, sdf, values
 from sheetfun.sdf import SdfInfo
 
 from conftest import a1, call, fill, wrap
@@ -371,6 +371,23 @@ def test_guard_error_on_one_path_keeps_the_other(define, b4):
     # only means that the paths through B2 are not taken.
     cells = {"B1": "0", "B2": "0", "B3": "=B1*2", "B4": b4}
     w = define(dict(cells, B5='=DEFINE("TWOPATH", B4, B1, B2)'))
+    # The guard is compiled once: no ISERROR around a path, one
+    # computation per memo, and no boxing beyond the body's own.
+    compiled = w.function_table.get(
+        w.function_table.lookup_name("TWOPATH")).compiled
+    lines = compiled.listing.splitlines()
+    assert not any("ISERROR" in ln for ln in lines)
+    for k in range(compiled.n_memo):
+        assert lines.count(f"  memo {k} <-") == 1, k
+    boxed = []
+    values.set_box_hook(boxed.append)
+    try:
+        call(w, "TWOPATH", 5, 1)
+    finally:
+        values.set_box_hook(None)
+    assert len(boxed) == {"=IF(B2, B3, 0)+IF(B1, B3, 1)": 1,
+                          "=IF(B2, B3, 0)+IF(B1, B3, 1)+IF(B1, 0, B3)": 1,
+                          "=AND(B2, B3)&IF(B1, B3, 1)": 2}[b4]
     for x, y in ((5, ERROR_DIV0), (5, Text("t")), (5, 1), (0, ERROR_DIV0)):
         fill(w, "S", dict(cells, B1=str(x), B2=literal(wrap(y))))
         w.recalculate()
