@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -44,14 +45,18 @@ def benchmark(rt, fv: FunctionValue, count: int) -> float:
 
 # --- workbook files ----------------------------------------------------------
 
+# A cell address: column letters, then the row number.
+_ADDR = r"([A-Za-z]+)(\d+)"
+_ADDR_RE = re.compile(_ADDR)
+# A workbook file line that sets a cell: its address, "=", the content.
+_CELL_LINE_RE = re.compile(_ADDR + r"\s*=(.*)", re.DOTALL)
+
+
 def _parse_addr(text: str) -> tuple[int, int]:
-    i = 0
-    while i < len(text) and text[i].isalpha():
-        i += 1
-    col, row = text[:i], text[i:]
-    if not col or not row.isdigit():
+    m = _ADDR_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"bad cell address {text!r}")
-    return letters_to_col(col), int(row)
+    return letters_to_col(m[1]), int(m[2])
 
 
 def load_workbook(path: str, **wb_options) -> Workbook:
@@ -63,26 +68,38 @@ def load_workbook(path: str, **wb_options) -> Workbook:
 
 
 def read_into(wb: Workbook, lines, source: str = "<input>") -> None:
+    """Store the sheets and cells of workbook file lines in ``wb``.  A
+    malformed line, or a formula that does not parse, raises ValueError
+    naming ``source``, the line number and, for a formula, the cell."""
     sheet = None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        where = f"{source}:{lineno}"
-        low = line.lower()
-        if low.startswith("function sheet "):
-            sheet = wb.add_sheet(line[15:].strip(), kind="function")
-            continue
-        if low.startswith("sheet "):
-            sheet = wb.add_sheet(line[6:].strip())
-            continue
-        addr_text, eq, content = line.partition("=")
-        if not eq:
-            raise ValueError(f"{where}: expected 'ADDR = content'")
-        if sheet is None:
-            raise ValueError(f"{where}: cell before any sheet header")
-        col, row = _parse_addr(addr_text.strip())
-        wb.set_cell(CellAddr(sheet.name, col, row), content.strip())
+        m = _CELL_LINE_RE.match(line)
+        if m is None or sheet is None:
+            where = f"{source}:{lineno}"
+            low = line.lower()
+            if low.startswith("function sheet "):
+                sheet = wb.add_sheet(line[15:].strip(), kind="function")
+                continue
+            if low.startswith("sheet "):
+                sheet = wb.add_sheet(line[6:].strip())
+                continue
+            addr_text, eq, _ = line.partition("=")
+            if not eq:
+                raise ValueError(f"{where}: expected 'ADDR = content'")
+            if sheet is None:
+                raise ValueError(f"{where}: cell before any sheet header")
+            raise ValueError(
+                f"{where}: bad cell address {addr_text.strip()!r}")
+        letters, digits, content = m.groups()
+        addr = CellAddr(sheet.name, letters_to_col(letters), int(digits))
+        try:
+            wb.set_cell(addr, content)      # set_cell strips the content
+        except FormulaError as ex:
+            raise ValueError(
+                f"{source}:{lineno}: {addr.local().text()}: {ex}") from None
 
 
 def save_workbook(wb: Workbook, path: str) -> None:

@@ -516,7 +516,8 @@ class Workbook:
             sheet.cells[key] = cell
         seen = cell.content if isinstance(cell.content, Value) else cell.cached
         cell.content = content
-        self._detach(cell)
+        if cell.inputs:
+            self._detach(cell)
         if isinstance(content, Value):
             cell.cached, cell.inputs = None, ()
             if seen is None or value_key(seen) != value_key(content):

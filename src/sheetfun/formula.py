@@ -11,6 +11,14 @@ One node, ``Const``, carries every constant: it holds the spreadsheet
 value itself (number, text, error, array or closure), and the renderer
 writes it with ``values.literal``, so a negative zero reads back signed.
 
+Tree nodes and ``CellAddr`` are plain ``__slots__`` classes.  They
+compare and hash as a frozen dataclass would, by class and field tuple,
+and are never changed after they are built.
+
+A formula nests at most ``MAX_NESTING`` levels deep, counting
+parentheses, call argument lists, array braces and unary signs; a deeper
+one is a ``FormulaError``, so parsing never runs out of Python stack.
+
 ``parse_formula`` and ``render_formula`` round-trip: parsing a rendered
 tree yields an equal tree.
 """
@@ -18,7 +26,7 @@ tree yields an equal tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .values import ArrayValue, ErrorValue, Number, Text, Value, literal
 
@@ -28,7 +36,7 @@ __all__ = [
     "Expr", "Const", "CellRef", "NormalCellRef", "NormalCellArea", "Arith1",
     "Arith2", "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
     "If", "Choose", "And", "Or", "LEAF_TYPES", "children", "map_children",
-    "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE",
+    "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE", "MAX_NESTING",
 ]
 
 
@@ -51,19 +59,58 @@ def col_to_letters(col: int) -> str:
 
 
 def letters_to_col(letters: str) -> int:
+    col = _COLUMNS.get(letters)
+    if col is not None:
+        return col
     col = 0
     for ch in letters.upper():
         col = col * 26 + (ord(ch) - ord("A") + 1)
     return col
 
 
-@dataclass(frozen=True)
-class CellAddr:
+# The columns of the names of one or two letters, upper case.
+_COLUMNS = {col_to_letters(c): c for c in range(1, 703)}
+
+
+class _Record:
+    """Equality, hashing and repr as a frozen dataclass has them, over the
+    fields named in ``__slots__``: two records are equal when they are of
+    the same class and their field tuples are equal, and a record hashes
+    as its field tuple.  Records are immutable: nothing assigns to a
+    field after ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if names:
+            get = attrgetter(*names)
+            cls._fields = staticmethod(
+                get if len(names) > 1 else lambda e: (get(e),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CellAddr(_Record):
     """A cell position; ``sheet`` is None for sheet-local references."""
 
-    sheet: str | None
-    col: int
-    row: int
+    __slots__ = ("sheet", "col", "row")
+
+    def __init__(self, sheet: str | None, col: int, row: int):
+        self.sheet = sheet
+        self.col = col
+        self.row = row
 
     def text(self) -> str:
         a1 = f"{col_to_letters(self.col)}{self.row}"
@@ -81,118 +128,148 @@ class CellAddr:
 
 # --- expression nodes --------------------------------------------------------
 
-class Expr:
+class Expr(_Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     """A constant: any spreadsheet value (number, text, error, array,
     closure) embedded in a tree."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class CellRef(Expr):
     """Reference to a cell of the enclosing (function) sheet."""
 
-    addr: CellAddr
+    __slots__ = ("addr",)
+
+    def __init__(self, addr: CellAddr):
+        self.addr = addr
 
 
-@dataclass(frozen=True)
 class NormalCellRef(Expr):
     """Reference to a cell of an ordinary sheet."""
 
-    addr: CellAddr
+    __slots__ = ("addr",)
+
+    def __init__(self, addr: CellAddr):
+        self.addr = addr
 
 
-@dataclass(frozen=True)
 class NormalCellArea(Expr):
-    start: CellAddr
-    end: CellAddr
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: CellAddr, end: CellAddr):
+        self.start = start
+        self.end = end
 
 
-@dataclass(frozen=True)
 class Arith1(Expr):
     """Unary operator: '-' or 'NOT'."""
 
-    op: str
-    arg: Expr
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: Expr):
+        self.op = op
+        self.arg = arg
 
 
-@dataclass(frozen=True)
 class Arith2(Expr):
     """Binary operator: + - * / ^ &."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Comparison(Expr):
     """Relational operator: = <> < <= > >=."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class FunctionCall(Expr):
     """Call by name; resolved against builtins and defined functions."""
 
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        self.name = name
+        self.args = args
 
 
-@dataclass(frozen=True)
 class SdfCall(Expr):
     """Resolved call to a sheet-defined function (late-bound by id)."""
 
-    target: int
-    name: str
-    args: tuple
+    __slots__ = ("target", "name", "args")
+
+    def __init__(self, target: int, name: str, args: tuple):
+        self.target = target
+        self.name = name
+        self.args = args
 
 
-@dataclass(frozen=True)
 class MakeClosure(Expr):
     """CLOSURE(fn, args...): build a FunctionValue, #NA args are holes."""
 
-    fn: Expr
-    args: tuple
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Expr, args: tuple):
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
 class Apply(Expr):
     """APPLY(fn, args...): fill a closure's holes and call it."""
 
-    fn: Expr
-    args: tuple
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Expr, args: tuple):
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
 class If(Expr):
-    cond: Expr
-    then: Expr
-    other: Expr
+    __slots__ = ("cond", "then", "other")
+
+    def __init__(self, cond: Expr, then: Expr, other: Expr):
+        self.cond = cond
+        self.then = then
+        self.other = other
 
 
-@dataclass(frozen=True)
 class Choose(Expr):
-    index: Expr
-    branches: tuple
+    __slots__ = ("index", "branches")
+
+    def __init__(self, index: Expr, branches: tuple):
+        self.index = index
+        self.branches = branches
 
 
-@dataclass(frozen=True)
 class And(Expr):
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        self.args = args
 
 
-@dataclass(frozen=True)
 class Or(Expr):
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple):
+        self.args = args
 
 
 def _leaf(e):
@@ -254,36 +331,47 @@ _NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 # A number token after an optional sign: the text of a numeric constant cell.
 SIGNED_NUMBER_RE = re.compile(r"[+-]?" + _NUMBER)
 
+# One token per match: leading whitespace, then exactly one of the
+# groups number, string, error, ident, op; the last group catches a
+# character no token starts with.  ``findall`` yields the tokens of a
+# whole formula as tuples of the six groups, the five empty ones "".
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>""" + _NUMBER + r""")
-  | (?P<string>"(?:[^"]|"")*")
-  | (?P<error>\#ERR:[^\s,;()]+|\#DIV/0!|\#VALUE!|\#NAME\?|\#NUM!|\#REF!|\#CYCLE!|\#NA)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<op><>|<=|>=|[<>=+\-*/^&(),:!{};])
+    r"""\s*(?:
+      (""" + _NUMBER + r""")
+    | ("(?:[^"]|"")*")
+    | (\#ERR:[^\s,;()]+|\#DIV/0!|\#VALUE!|\#NAME\?|\#NUM!|\#REF!|\#CYCLE!|\#NA)
+    | ([A-Za-z_][A-Za-z0-9_.]*)
+    | (<>|<=|>=|[<>=+\-*/^&(),:!{};])
+    | (\S))
     """,
     re.VERBOSE,
 )
+# Indexes into a token tuple.
+_IDENT, _OP, _BAD = 3, 4, 5
+_EOF = ("", "", "", "", "", "")
+_bad_field = itemgetter(_BAD)
 
 _A1_RE = re.compile(r"^([A-Za-z]{1,3})(\d+)$")
 
 
-def _tokenize(text: str, start: int):
-    tokens = []
-    pos = start
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaError(f"bad character {text[pos]!r}", pos)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", n))
+def _tokenize(text: str, start: int) -> list:
+    """The token tuples of ``text[start:]``, ending with ``_EOF``."""
+    tokens = _TOKEN_RE.findall(text, start)
+    if any(map(_bad_field, tokens)):
+        i = next(i for i, t in enumerate(tokens) if t[_BAD])
+        raise FormulaError(f"bad character {tokens[i][_BAD]!r}",
+                           _token_pos(text, start, i))
+    tokens.append(_EOF)
     return tokens
+
+
+def _token_pos(text: str, start: int, i: int) -> int:
+    """The position of token ``i`` of ``text[start:]``; the end of the
+    text for the end token.  Only error messages need one."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text, start)):
+        if k == i:
+            return m.start(m.lastindex)
+    return len(text)
 
 
 # --- parser ------------------------------------------------------------------
@@ -302,130 +390,155 @@ _BIN_LEVEL = {"=": _LVL_CMP, "<>": _LVL_CMP, "<": _LVL_CMP, "<=": _LVL_CMP,
 PARSER_FORMS = frozenset(
     ("IF", "CHOOSE", "AND", "OR", "NOT", "CLOSURE", "APPLY"))
 
+# The deepest nesting a formula may have.  A parenthesis, a call's
+# argument list, an array's braces and a unary sign each open a level.
+# A level costs the parser at most two Python frames (``expr`` and
+# ``operand``), so a formula at the bound parses with room to spare
+# under the default recursion limit.
+MAX_NESTING = 256
+
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the token tuples, read by index."""
+
+    __slots__ = ("text", "start", "toks", "i", "depth")
+
+    def __init__(self, text: str, start: int):
+        self.text = text
+        self.start = start
+        self.toks = _tokenize(text, start)
         self.i = 0
+        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message: str, i: int) -> FormulaError:
+        return FormulaError(message, _token_pos(self.text, self.start, i))
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def unexpected(self, i: int) -> FormulaError:
+        return self.error(f"unexpected {''.join(self.toks[i]) or 'end'!r}", i)
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise FormulaError(f"expected {op!r}, found {val or 'end'!r}", pos)
+    def nest(self, i: int) -> None:
+        """Open a nesting level at token ``i``; its end lowers ``depth``."""
+        if self.depth == MAX_NESTING:
+            raise self.error("formula nested too deeply", i)
+        self.depth += 1
 
-    def at_op(self, *ops) -> bool:
-        kind, val, _ = self.peek()
-        return kind == "op" and val in ops
+    def expect(self, op: str) -> None:
+        i = self.i
+        tok = self.toks[i]
+        if tok[_OP] != op:
+            raise self.error(
+                f"expected {op!r}, found {''.join(tok) or 'end'!r}", i)
+        self.i = i + 1
 
     def parse(self) -> Expr:
-        e = self.binary(_LVL_CMP)
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise FormulaError(f"unexpected {val!r}", pos)
+        e = self.expr()
+        if self.i != len(self.toks) - 1:
+            raise self.unexpected(self.i)
         return e
 
-    def binary(self, level: int) -> Expr:
-        """An expression of operators that bind at ``level`` or tighter,
-        by precedence climbing.  A right operand takes only operators that
-        bind tighter, so a chain of one level folds to the left here."""
-        e = self.unary()
+    def expr(self) -> Expr:
+        """Operands joined by binary operators.  Operators wait on a stack
+        until one that binds no tighter arrives, which folds them to the
+        left, so every level is left-associative."""
+        e = self.operand()
+        toks = self.toks
+        pending = []
         while True:
-            kind, op, _ = self.peek()
-            lvl = _BIN_LEVEL.get(op) if kind == "op" else None
-            if lvl is None or lvl < level:
+            op = toks[self.i][_OP]
+            lvl = _BIN_LEVEL.get(op, 0)
+            while pending and pending[-1][0] >= lvl:
+                plvl, pop, left = pending.pop()
+                e = (Comparison(pop, left, e) if plvl == _LVL_CMP
+                     else Arith2(pop, left, e))
+            if not lvl:
                 return e
-            self.next()
-            right = self.binary(lvl + 1)
-            e = (Comparison(op, e, right) if lvl == _LVL_CMP
-                 else Arith2(op, e, right))
+            pending.append((lvl, op, e))
+            self.i += 1
+            e = self.operand()
 
-    def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.next()
-            e = self.unary()
-            # Fold the sign into number literals so -5 parses the same as
-            # a rendered Const(Number(-5)).
-            if type(e) is Const and type(e.value) is Number:
-                return Const(Number(-e.value.value))
-            return Arith1("-", e)
-        if self.at_op("+"):
-            self.next()
-            return self.unary()
-        return self.primary()
+    def operand(self) -> Expr:
+        """An atom after any unary signs.  The parts of an operand are
+        parsed in this one frame, so that each nesting level costs only
+        this frame and ``expr``'s."""
+        toks = self.toks
+        first = i = self.i
+        number, string, error, ident, op, _ = toks[i]
+        while op == "-" or op == "+":
+            self.nest(i)
+            i += 1
+            number, string, error, ident, op, _ = toks[i]
+        self.i = i + 1
+        if number:
+            e = Const(Number(float(number)))
+        elif ident:
+            after = toks[i + 1][_OP]
+            if after == "(":
+                self.nest(i + 1)
+                self.i = i + 2
+                args = []
+                if toks[i + 2][_OP] != ")":
+                    args.append(self.expr())
+                    while toks[self.i][_OP] == ",":
+                        self.i += 1
+                        args.append(self.expr())
+                self.expect(")")
+                self.depth -= 1
+                e = self.make_call(ident.upper(), args, i)
+            elif after == "!":
+                m = _A1_RE.match(toks[i + 2][_IDENT])
+                if m is None:
+                    raise self.error("expected cell reference after '!'",
+                                     i + 2)
+                self.i = i + 3
+                e = self.reference(m, ident, NormalCellRef)
+            else:
+                m = _A1_RE.match(ident)
+                if m is None:
+                    raise self.error(f"unknown name {ident!r}", i)
+                e = self.reference(m, None, CellRef)
+        elif op == "(":
+            self.nest(i)
+            e = self.expr()
+            self.expect(")")
+            self.depth -= 1
+        elif string:
+            e = Const(Text(string[1:-1].replace('""', '"')))
+        elif error:
+            e = Const(ErrorValue.intern(error))
+        elif op == "{":
+            self.nest(i)
+            e = self.array_literal(i)
+            self.depth -= 1
+        else:
+            raise self.unexpected(i)
+        if i != first:
+            # Fold each minus into a number literal, so -5 parses the same
+            # as a rendered Const(Number(-5)); a plus changes nothing.
+            self.depth -= i - first
+            for k in range(i - 1, first - 1, -1):
+                if toks[k][_OP] == "-":
+                    e = (Const(Number(-e.value.value))
+                         if type(e) is Const and type(e.value) is Number
+                         else Arith1("-", e))
+        return e
 
-    def primary(self) -> Expr:
-        kind, val, pos = self.next()
-        if kind == "number":
-            return Const(Number(float(val)))
-        if kind == "string":
-            return Const(Text(val[1:-1].replace('""', '"')))
-        if kind == "error":
-            return Const(ErrorValue.intern(val))
-        if kind == "ident":
-            return self.after_ident(val, pos)
-        if kind == "op" and val == "(":
-            e = self.binary(_LVL_CMP)
-            self.expect_op(")")
-            return e
-        if kind == "op" and val == "{":
-            return self.array_literal(pos)
-        raise FormulaError(f"unexpected {val or 'end'!r}", pos)
-
-    def after_ident(self, ident: str, pos: int) -> Expr:
-        if self.at_op("!"):
-            self.next()
-            kind, val, rpos = self.next()
-            m = _A1_RE.match(val) if kind == "ident" else None
-            if m is None:
-                raise FormulaError("expected cell reference after '!'", rpos)
-            start = self.make_addr(m, sheet=ident)
-            if self.at_op(":"):
-                self.next()
-                return NormalCellArea(start, self.area_end(ident))
-            return NormalCellRef(start)
-        if self.at_op("("):
-            self.next()
-            args = []
-            if not self.at_op(")"):
-                args.append(self.binary(_LVL_CMP))
-                while self.at_op(","):
-                    self.next()
-                    args.append(self.binary(_LVL_CMP))
-            self.expect_op(")")
-            return self.make_call(ident.upper(), args, pos)
-        m = _A1_RE.match(ident)
-        if m is not None:
-            start = self.make_addr(m, sheet=None)
-            if self.at_op(":"):
-                self.next()
-                return NormalCellArea(start, self.area_end(None))
-            return CellRef(start)
-        raise FormulaError(f"unknown name {ident!r}", pos)
-
-    def area_end(self, sheet: str | None) -> CellAddr:
-        kind, val, pos = self.next()
-        m = _A1_RE.match(val) if kind == "ident" else None
+    def reference(self, m, sheet: str | None, node) -> Expr:
+        """The cell reference ``node`` at the A1 match ``m``, or the area
+        it starts; the token after it is current."""
+        start = _addr(m, sheet)
+        i = self.i
+        if self.toks[i][_OP] != ":":
+            return node(start)
+        m = _A1_RE.match(self.toks[i + 1][_IDENT])
         if m is None:
-            raise FormulaError("expected cell reference after ':'", pos)
-        return self.make_addr(m, sheet=sheet)
+            raise self.error("expected cell reference after ':'", i + 1)
+        self.i = i + 2
+        return NormalCellArea(start, _addr(m, sheet))
 
-    @staticmethod
-    def make_addr(m, sheet: str | None) -> CellAddr:
-        return CellAddr(sheet, letters_to_col(m.group(1)), int(m.group(2)))
-
-    @staticmethod
-    def make_call(name: str, args: list, pos: int) -> Expr:
+    def make_call(self, name: str, args: list, i: int) -> Expr:
         def need(lo, hi=None):
             if len(args) < lo or (hi is not None and len(args) > hi):
-                raise FormulaError(f"wrong number of arguments to {name}", pos)
+                raise self.error(f"wrong number of arguments to {name}", i)
 
         if name == "IF":
             need(3, 3)
@@ -450,41 +563,52 @@ class _Parser:
             return Apply(args[0], tuple(args[1:]))
         return FunctionCall(name, tuple(args))
 
-    def array_literal(self, pos: int) -> Expr:
+    def array_literal(self, i: int) -> Expr:
+        """The array whose ``{`` is token ``i``."""
+        toks = self.toks
         rows, row = [], []
         while True:
             row.append(self.array_element())
-            if self.at_op(","):
-                self.next()
+            op = toks[self.i][_OP]
+            if op == ",":
+                self.i += 1
                 continue
             rows.append(row)
-            if self.at_op(";"):
-                self.next()
+            if op == ";":
+                self.i += 1
                 row = []
                 continue
             break
-        self.expect_op("}")
+        self.expect("}")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
-            raise FormulaError("ragged array literal", pos)
+            raise self.error("ragged array literal", i)
         return Const(ArrayValue(rows))
 
     def array_element(self) -> Value:
+        toks = self.toks
+        i = self.i
         neg = False
-        while self.at_op("-"):
-            self.next()
+        while toks[i][_OP] == "-":
+            i += 1
             neg = not neg
-        kind, val, pos = self.next()
-        if kind == "number":
-            d = float(val)
+        number, string, error, _, _, _ = toks[i]
+        self.i = i + 1
+        if number:
+            d = float(number)
             return Number(-d if neg else d)
         if neg:
-            raise FormulaError("expected number", pos)
-        if kind == "string":
-            return Text(val[1:-1].replace('""', '"'))
-        if kind == "error":
-            return ErrorValue.intern(val)
-        raise FormulaError("expected array element", pos)
+            raise self.error("expected number", i)
+        if string:
+            return Text(string[1:-1].replace('""', '"'))
+        if error:
+            return ErrorValue.intern(error)
+        raise self.error("expected array element", i)
+
+
+def _addr(m, sheet: str | None) -> CellAddr:
+    letters, digits = m.groups()
+    return CellAddr(sheet, letters_to_col(letters), int(digits))
 
 
 def parse_formula(text: str) -> Expr:
@@ -492,13 +616,12 @@ def parse_formula(text: str) -> Expr:
     stripped = text.lstrip()
     if not stripped.startswith("="):
         raise FormulaError("formula must start with '='", 0)
-    offset = len(text) - len(stripped) + 1
-    return _Parser(_tokenize(text, offset)).parse()
+    return _Parser(text, len(text) - len(stripped) + 1).parse()
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a bare expression (no leading ``=``)."""
-    return _Parser(_tokenize(text, 0)).parse()
+    return _Parser(text, 0).parse()
 
 
 # --- renderer ----------------------------------------------------------------

@@ -114,9 +114,25 @@ def test_read_into_rejects_bad_lines():
     wb2 = Workbook()
     with pytest.raises(ValueError, match="bad cell address"):
         read_into(wb2, io.StringIO("sheet S\n1A = 2\n"))
+    # Column letters are A to Z; another letter is no column.
+    with pytest.raises(ValueError, match=r"<input>:2: bad cell address 'É1'"):
+        read_into(wb2, io.StringIO("sheet T\nÉ1 = 2\n"))
     wb3 = Workbook()
     with pytest.raises(ValueError, match="expected"):
         read_into(wb3, io.StringIO("sheet S\njunk\n"))
+
+
+def test_a_formula_that_does_not_parse_names_its_file_line_and_cell(
+        tmp_path, capsys):
+    with pytest.raises(ValueError) as info:
+        read_into(Workbook(), io.StringIO("sheet S\nA1 = 1\n\nb2 = =1+\n"),
+                  source="book.wbk")
+    assert str(info.value) == "book.wbk:4: B2: unexpected 'end' (at 3)"
+    path = tmp_path / "bad.wbk"
+    path.write_text("sheet S\nA1 = =1+\n", encoding="utf-8")
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"sheetfun: {path}:2: A1: unexpected 'end' (at 3)\n"
 
 
 # --- batch evaluation --------------------------------------------------------

@@ -1,12 +1,17 @@
 """Formula parsing, rendering, addressing."""
 
+import json
+import os
+import sys
+
 import pytest
 
 from sheetfun.formula import (
-    And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose, Comparison,
-    Const, FormulaError, FunctionCall, If, MakeClosure, NormalCellArea,
-    NormalCellRef, Or, col_to_letters, letters_to_col, parse_expr,
-    parse_formula, render_expr, render_formula, walk,
+    MAX_NESTING, And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose,
+    Comparison, Const, Expr, FormulaError, FunctionCall, If, MakeClosure,
+    NormalCellArea, NormalCellRef, Or, SdfCall, col_to_letters,
+    letters_to_col, parse_expr, parse_formula, render_expr, render_formula,
+    walk,
 )
 from sheetfun.values import ERROR_NA, ERROR_REF, ErrorValue, Number, Text
 
@@ -92,6 +97,49 @@ def test_deep_parentheses_parse_and_round_trip():
     e = parse_formula("=" + "(" * 250 + "1+2" + ")" * 250)
     assert e == Arith2("+", num(1.0), num(2.0))
     assert parse_formula(render_formula(e)) == e
+
+
+# Formulas nested exactly MAX_NESTING deep, each shape of nesting.
+AT_BOUND = {
+    "parentheses": "=" + "(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+    "right operands": "=" + "1+(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+    "calls": "=" + "ABS(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+    "special forms": "=" + "IF(1,2," * MAX_NESTING + "3" + ")" * MAX_NESTING,
+    "signs": "=" + "-(" * (MAX_NESTING // 2) + "A1" + ")" * (MAX_NESTING // 2),
+    "array": "=" + "SUM(" * (MAX_NESTING - 1) + "{1,2;3,4}"
+             + ")" * (MAX_NESTING - 1),
+}
+
+
+def _stack_depth() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("shape", list(AT_BOUND))
+def test_a_formula_at_the_nesting_bound_parses_400_frames_deep(shape):
+    def down(n):
+        return parse_formula(AT_BOUND[shape]) if n <= 0 else down(n - 1)
+
+    assert sys.getrecursionlimit() == 1000
+    assert isinstance(down(400 - _stack_depth()), Expr)
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("=" + "(" * 3300 + "1" + ")" * 3300, 1 + MAX_NESTING),
+    ("=" + "-" * 3300 + "1", 1 + MAX_NESTING),
+    ("=" + "ABS(" * 3300 + "1" + ")" * 3300, 4 * MAX_NESTING + 4),
+    ("=" + "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+     1 + MAX_NESTING),
+    ("=" + "SUM(" * MAX_NESTING + "{1}" + ")" * MAX_NESTING,
+     1 + 4 * MAX_NESTING),
+])
+def test_nesting_past_the_bound_is_a_formula_error(text, pos):
+    with pytest.raises(FormulaError) as info:
+        parse_formula(text)
+    assert str(info.value) == f"formula nested too deeply (at {pos})"
 
 
 def test_special_forms():
@@ -193,3 +241,115 @@ def test_walk_visits_all():
 
 def test_case_insensitive_cell_refs():
     assert parse_expr("b2") == parse_expr("B2")
+
+
+# Message and position of the error for malformed formulas; the parser
+# must keep reporting these exactly.
+PARSE_ERRORS = [
+    ("=1 $ 2", "bad character '$'", 3),
+    ("=A1+?", "bad character '?'", 4),
+    ('="abc', "bad character '\"'", 1),
+    ("=#BAD", "bad character '#'", 1),
+    ("=(1+2", "expected ')', found 'end'", 5),
+    ("=SUM(1,2", "expected ')', found 'end'", 8),
+    ("={1,2", "expected '}', found 'end'", 5),
+    ("=foo", "unknown name 'foo'", 1),
+    ("=Data!", "expected cell reference after '!'", 6),
+    ("=Data!1", "expected cell reference after '!'", 6),
+    ("=Data!A1:", "expected cell reference after ':'", 9),
+    ("=A1:B", "expected cell reference after ':'", 4),
+    ("={1,2;3}", "ragged array literal", 1),
+    ("={1;2,3}", "ragged array literal", 1),
+    ('={-"a"}', "expected number", 3),
+    ("={A1}", "expected array element", 2),
+    ("=IF(1,2)", "wrong number of arguments to IF", 1),
+    ("=IF(1,2,3,4)", "wrong number of arguments to IF", 1),
+    ("=NOT(1,2)", "wrong number of arguments to NOT", 1),
+    ("=NOT()", "wrong number of arguments to NOT", 1),
+    ("=1 2", "unexpected '2'", 3),
+    ("=(1))", "unexpected ')'", 4),
+    ("=1..5", "unexpected '.5'", 3),
+    ("=SUM(1,)", "unexpected ')'", 7),
+    ("=1+ ", "unexpected 'end'", 4),
+    ("=", "unexpected 'end'", 1),
+    ("1+2", "formula must start with '='", 0),
+]
+
+
+@pytest.mark.parametrize("text,message,pos", PARSE_ERRORS)
+def test_parse_error_message_and_position(text, message, pos):
+    with pytest.raises(FormulaError) as info:
+        parse_formula(text)
+    assert str(info.value) == f"{message} (at {pos})"
+    assert info.value.pos == pos
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+        with open(os.path.join(bench, "spec.json"), encoding="utf-8") as f:
+            params = json.load(f)["workloads"]
+        yield workloads.WORKLOADS, params
+    finally:
+        sys.path.remove(bench)
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("reference", None)
+
+
+@pytest.mark.parametrize("name", ["sheet", "calls", "specialize"])
+def test_every_benchmark_formula_round_trips(bench_workloads, name):
+    classes, params = bench_workloads
+    lines = classes[name](params[name], 1).lines
+    texts = [line.partition("=")[2].strip() for line in lines
+             if "= =" in line]
+    assert texts
+    for text in texts:
+        e = parse_formula(text)
+        assert parse_formula(render_formula(e)) == e, text
+
+
+def _fields(node) -> tuple:
+    return tuple(getattr(node, name) for name in type(node).__slots__)
+
+
+def _nodes(nan: Number) -> list:
+    """One or more nodes of every type, built afresh on each call."""
+    a, b = CellAddr(None, 1, 2), CellAddr("S", 1, 2)
+    one, x = Const(Number(1.0)), CellRef(CellAddr(None, 3, 3))
+    return [
+        a, b, CellAddr(None, 2, 1), Const(Number(1.0)), Const(Text("1")),
+        Const(nan), Const(Number(-0.0)), CellRef(a), NormalCellRef(b),
+        NormalCellArea(b, CellAddr("S", 2, 2)), Arith1("-", x),
+        Arith1("NOT", x), Arith2("+", one, x), Comparison("+", one, x),
+        Comparison("<", one, x), FunctionCall("ABS", (x,)),
+        SdfCall(3, "ABS", (x,)), MakeClosure(one, (x,)), Apply(one, (x,)),
+        If(x, one, Const(nan)), Choose(x, (one, x)), And((one, x)),
+        Or((one, x)),
+    ]
+
+
+def test_nodes_compare_and_hash_as_their_field_tuples():
+    nan = Number(float("nan"))
+    left, right = _nodes(nan), _nodes(nan)
+    assert {type(n) for n in left} == {CellAddr, *Expr.__subclasses__()}
+    for a in left:
+        assert not hasattr(a, "__dict__")
+        assert hash(a) == hash(_fields(a))
+        for b in left + right:
+            same = type(a) is type(b) and _fields(a) == _fields(b)
+            assert (a == b) is same and (a != b) is not same, (a, b)
+    # A NaN shared between two trees compares equal by identity, as in a
+    # tuple; two NaNs built apart do not.
+    assert Arith2("+", Const(nan), left[7]) == Arith2("+", Const(nan), left[7])
+    assert Const(Number(float("nan"))) != Const(Number(float("nan")))
+    assert Const(Number(1.0)) != Number(1.0)
+
+
+def test_node_repr_names_each_field():
+    e = Arith1("-", Const(Number(1.0)))
+    assert repr(e) == "Arith1(op='-', arg=Const(value=Number(1.0)))"
+    assert repr(CellAddr("S", 2, 3)) == "CellAddr(S!B3)"

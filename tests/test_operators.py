@@ -7,7 +7,6 @@ one operand static to the same result on a pool of awkward operands.
 The child maps of ``formula`` are checked over every node type.
 """
 
-import dataclasses
 import math
 import struct
 
@@ -205,13 +204,13 @@ def test_samples_cover_every_node_type():
 def non_child_fields(e):
     kids = set(map(id, children(e)))
     out = []
-    for f in dataclasses.fields(e):
-        v = getattr(e, f.name)
+    for name in type(e).__slots__:
+        v = getattr(e, name)
         if id(v) in kids:
             continue
         if type(v) is tuple and v and all(id(x) in kids for x in v):
             continue
-        out.append((f.name, v))
+        out.append((name, v))
     return out
 
 
