@@ -103,6 +103,8 @@ def read_into(wb: Workbook, lines, source: str = "<input>") -> None:
 
 
 def save_workbook(wb: Workbook, path: str) -> None:
+    """Write ``wb`` as a workbook file; a cell holding a line break raises
+    ValueError, naming the cell, before the file is opened."""
     out = []
     for sheet in wb.sheets.values():
         head = "function sheet" if sheet.kind == "function" else "sheet"
@@ -113,6 +115,9 @@ def save_workbook(wb: Workbook, path: str) -> None:
                 text = literal(content)
             else:
                 text = render_formula(content)
+            if "\n" in text or "\r" in text:
+                raise ValueError(f"{addr.text()}: a line break cannot be "
+                                 "saved in a workbook file")
             out.append(f"{addr.local().text()} = {text}")
         out.append("")
     with open(path, "w", encoding="utf-8") as f:
@@ -252,7 +257,10 @@ def repl(wb: Workbook, current: str | None = None) -> None:
             wb.diagnostics.clear()
         elif cmd == "save":
             if rest:
-                save_workbook(wb, rest)
+                try:
+                    save_workbook(wb, rest)
+                except (OSError, ValueError) as ex:
+                    print(f"error: {ex}", file=sys.stderr)
             else:
                 print("usage: save PATH", file=sys.stderr)
         elif cmd == "recalc":
@@ -277,9 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--spec-limit", type=int, default=100,
                    help="max residuals of any one function within one "
                         "SPECIALIZE (default 100)")
-    p.add_argument("--strict-simplify", action="store_true",
-                   help="disable the error-dropping multiply-by-zero "
-                        "simplifications")
     p.add_argument("--trace-spec", action="store_true",
                    help="log specializer events to stderr, one JSON "
                         "object per line")
@@ -288,8 +293,7 @@ def main(argv: list[str] | None = None) -> int:
                         "--eval is given")
     args = p.parse_args(argv)
 
-    options = dict(seed=args.seed, spec_limit=args.spec_limit,
-                   strict_simplify=args.strict_simplify)
+    options = dict(seed=args.seed, spec_limit=args.spec_limit)
     try:
         if args.file:
             wb = load_workbook(args.file, **options)

@@ -104,8 +104,7 @@ class CompiledFunction:
     def out_ir(self) -> list[str]:
         """The output expression's IR lines, without labels."""
         out = self.listing.partition("\n.out ")[2]
-        return [ln.strip() for ln in out.splitlines()[1:]
-                if not ln.endswith(":")]
+        return [ln[2:] for ln in out.split("\n") if ln.startswith("  ")]
 
     def run(self, argv, rt):
         """Execute one frame; may return a TailCall token."""
@@ -176,6 +175,11 @@ def _key(addr: CellAddr) -> tuple[int, int]:
     return (addr.col, addr.row)
 
 
+# A constant's listing operand escapes the backslash and the line breaks,
+# so that each instruction stays on its one line.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+
+
 # --- numericness -------------------------------------------------------------
 
 def is_numeric(e: Expr, registry, numeric_cell) -> bool:
@@ -235,9 +239,9 @@ def compile_to_double(e: Expr, cx: _Ctx, memo: bool = True):
         if type(v) is Number:
             cx.emit(f"const {format_number(c)}")
         elif type(v) is ErrorValue:
-            cx.emit(f"error {v.name}")
+            cx.emit(f"error {v.name.translate(_ESCAPES)}")
         else:
-            cx.emit(f"value {literal(v)}")
+            cx.emit(f"value {literal(v).translate(_ESCAPES)}")
             cx.emit("unwrap")
         return lambda fr: c
     if t is CellRef:
@@ -433,7 +437,7 @@ def compile_to_condition(e: Expr, cx: _Ctx, gen_t, gen_f, gen_bad):
         c = to_double_or_nan(e.value)
         if c != c:
             err = from_double_or_nan(c)
-            cx.emit(f"error {err.name}")
+            cx.emit(f"error {err.name.translate(_ESCAPES)}")
             bad = gen_bad()
             def step(fr):
                 fr.scratch = err
@@ -577,9 +581,10 @@ def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False,
             # Boxed afresh on every evaluation, like any computed number.
             return _boxed_const_step(cx, v.value)
         if type(v) is ErrorValue:
-            cx.emit(f"error {v.name}")
+            cx.emit(f"error {v.name.translate(_ESCAPES)}")
         else:
-            cx.emit(f"{'text' if type(v) is Text else 'value'} {literal(v)}")
+            kind = "text" if type(v) is Text else "value"
+            cx.emit(f"{kind} {literal(v).translate(_ESCAPES)}")
         return lambda fr: v
     if t is CellRef:
         k = _key(e.addr)
@@ -637,7 +642,7 @@ def _boxed_const_step(cx, c):
 
 def _call_value(e: FunctionCall, cx: _Ctx):
     b = cx.registry.get(e.name)
-    if b.special:
+    if b.func is None:      # DEFINE, which only a sheet cell can run
         cx.emit("error #VALUE!")
         return lambda fr: ERROR_VALUE
     sub = [compile_to_value(a, cx) for a in e.args]

@@ -42,7 +42,7 @@ from . import codegen, peval, sdf
 from .formula import (
     And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose, Comparison, Const,
     Expr, FunctionCall, If, MakeClosure, NormalCellArea, NormalCellRef, Or,
-    SdfCall, SIGNED_NUMBER_RE, parse_formula,
+    SdfCall, SIGNED_NUMBER_RE, parse_formula, with_children,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
@@ -84,18 +84,19 @@ class SplitMix64:
 class Builtin:
     """A callable builtin.
 
-    ``func(args, rt)`` receives evaluated Values and the workbook.  Strict
-    builtins never see error arguments; the dispatcher propagates the
-    first one instead.  ``dfunc(rt, *doubles)``, when present, is an
-    unboxed fast path used by compiled code; it must agree with ``func``.
+    ``func(args, rt)`` receives evaluated Values and the workbook (None
+    for DEFINE, which the interpreter runs itself).  Strict builtins
+    never see error arguments; the dispatcher propagates the first one
+    instead.  ``dfunc(rt, *doubles)``, when present, is an unboxed fast
+    path used by compiled code; it must agree with ``func``.  The partial
+    evaluator folds a call of any builtin that is not ``volatile``.
     """
 
     __slots__ = ("name", "min_args", "max_args", "func", "volatile",
-                 "strict", "dfunc", "special", "numeric", "pure")
+                 "strict", "dfunc", "numeric")
 
     def __init__(self, name, min_args, max_args, func, *, volatile=False,
-                 strict=True, dfunc=None, special=False, numeric=False,
-                 pure=True):
+                 strict=True, dfunc=None, numeric=False):
         self.name = name
         self.min_args = min_args
         self.max_args = max_args
@@ -103,13 +104,9 @@ class Builtin:
         self.volatile = volatile
         self.strict = strict
         self.dfunc = dfunc
-        self.special = special
         # numeric: the result is always a Number or error, so compiled
         # code may keep it unboxed.
         self.numeric = numeric
-        # pure: same arguments, same result, no side effects; the partial
-        # evaluator folds calls with known arguments only when set.
-        self.pure = pure
 
     def invoke(self, args: list, rt) -> Value:
         """Apply with arity check and strict error propagation."""
@@ -354,17 +351,16 @@ def _build_default_registry() -> Registry:
     add("SUM", 1, big, _sum_fn, numeric=True)
     add("CONCAT", 1, big, _concat_fn)
     add("RAND", 0, 0, lambda args, rt: Number(rt.rng.next_double()),
-        volatile=True, dfunc=_d_rand, numeric=True, pure=False)
-    add("NOW", 0, 0, _now_fn, volatile=True, numeric=True, pure=False)
+        volatile=True, dfunc=_d_rand, numeric=True)
+    add("NOW", 0, 0, _now_fn, volatile=True, numeric=True)
     add("ERR", 1, 1, _err_fn, numeric=True)
     add("NA", 0, 0, lambda args, rt: ERROR_NA, numeric=True)
     add("ISERROR", 1, 1, _iserror_fn, strict=False, numeric=True)
     add("TRUE", 0, 0, lambda args, rt: Number(1.0), numeric=True)
     add("FALSE", 0, 0, lambda args, rt: Number(0.0), numeric=True)
-    add("SPECIALIZE", 1, 1, _specialize_fn, volatile=True, pure=False)
-    add("BENCHMARK", 2, 2, _benchmark_fn, volatile=True, numeric=True,
-        pure=False)
-    add("DEFINE", 2, big, None, special=True, volatile=True, pure=False)
+    add("SPECIALIZE", 1, 1, _specialize_fn, volatile=True)
+    add("BENCHMARK", 2, 2, _benchmark_fn, volatile=True, numeric=True)
+    add("DEFINE", 2, big, None, volatile=True)
     return r
 
 
@@ -464,7 +460,7 @@ class Workbook:
     """Sheets plus the function table, specializer, PRNG and options."""
 
     def __init__(self, seed: int = 0, registry: Registry | None = None,
-                 spec_limit: int = 100, strict_simplify: bool = False):
+                 spec_limit: int = 100):
         self.sheets: dict[str, Sheet] = {}
         # A formula cell's value is current when its cached_gen equals
         # this stamp; invalidation lowers cached_gen, so it never moves.
@@ -472,8 +468,7 @@ class Workbook:
         self.rng = SplitMix64(seed)
         self.registry = registry or default_registry()
         self.function_table = sdf.FunctionTable()
-        self.specializer = peval.Specializer(
-            self, limit=spec_limit, strict_simplify=strict_simplify)
+        self.specializer = peval.Specializer(self, limit=spec_limit)
         self.diagnostics: list[str] = []
         self._clock = 0                     # ticks on each invalidation
         self._reader: Cell | None = None    # the cell being evaluated
@@ -826,8 +821,7 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     if t is Comparison:
         return _eval_comparison(e, at, wb)
     if t is Arith1:
-        d = to_double_or_nan(eval_expr(e.arg, at, wb))
-        return from_double_or_nan(UNARY_OPS[e.op](d))
+        return _arith1(e.op, eval_expr(e.arg, at, wb))
     if t is If:
         c = truth(eval_expr(e.cond, at, wb))
         if isinstance(c, Value):
@@ -857,23 +851,52 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
     raise TypeError(f"cannot evaluate {e!r}")
 
 
+def eval_on_consts(e: Expr, kids: list, wb: Workbook) -> Value:
+    """eval_expr of ``e`` with the ``Const`` nodes ``kids`` for children;
+    an operator goes to eval_expr's functions without building the node."""
+    t = type(e)
+    if t is Arith2:
+        return _arith2(e.op, kids[0].value, kids[1].value)
+    if t is Comparison:
+        return _compare(e.op, kids[0].value, kids[1].value)
+    if t is Arith1:
+        return _arith1(e.op, kids[0].value)
+    # No child reads a cell, so no reference point is needed.
+    return eval_expr(with_children(e, tuple(kids)), None, wb)
+
+
 def _eval_arith2(e: Arith2, at: CellAddr, wb: Workbook) -> Value:
-    a = eval_expr(e.left, at, wb)
-    b = eval_expr(e.right, at, wb)
-    if e.op == "&":
-        return fconcat_values(a, b)
-    return from_double_or_nan(BINARY_OPS[e.op](to_double_or_nan(a),
-                                               to_double_or_nan(b)))
+    return _arith2(e.op, eval_expr(e.left, at, wb),
+                   eval_expr(e.right, at, wb))
 
 
 def _eval_comparison(e: Comparison, at: CellAddr, wb: Workbook) -> Value:
-    a = to_double_or_nan(eval_expr(e.left, at, wb))
-    if a != a:
-        return from_double_or_nan(a)
-    b = to_double_or_nan(eval_expr(e.right, at, wb))
-    if b != b:
-        return from_double_or_nan(b)
-    return Number(1.0 if COMPARE_OPS[e.op](a, b) else 0.0)
+    a = eval_expr(e.left, at, wb)
+    d = to_double_or_nan(a)
+    if d != d:              # decided: the right operand is not evaluated
+        return from_double_or_nan(d)
+    return _compare(e.op, a, eval_expr(e.right, at, wb))
+
+
+def _arith1(op: str, a: Value) -> Value:
+    return from_double_or_nan(UNARY_OPS[op](to_double_or_nan(a)))
+
+
+def _arith2(op: str, a: Value, b: Value) -> Value:
+    if op == "&":
+        return fconcat_values(a, b)
+    return from_double_or_nan(BINARY_OPS[op](to_double_or_nan(a),
+                                             to_double_or_nan(b)))
+
+
+def _compare(op: str, a: Value, b: Value) -> Value:
+    da = to_double_or_nan(a)
+    if da != da:
+        return from_double_or_nan(da)
+    db = to_double_or_nan(b)
+    if db != db:
+        return from_double_or_nan(db)
+    return Number(1.0 if COMPARE_OPS[op](da, db) else 0.0)
 
 
 def _eval_choose(e: Choose, at: CellAddr, wb: Workbook) -> Value:
@@ -891,10 +914,8 @@ def _eval_call(e: FunctionCall, at: CellAddr, wb: Workbook) -> Value:
     if b is not None:
         if b.volatile:
             wb.note_volatile()
-        if b.special:
-            if e.name == "DEFINE":
-                return _eval_define(e, at, wb)
-            return ERROR_VALUE
+        if b.func is None:
+            return _eval_define(e, at, wb)
         argv = [eval_expr(a, at, wb) for a in e.args]
         return b.invoke(argv, wb)
     wb.note_function_use()

@@ -35,8 +35,8 @@ __all__ = [
     "render_expr", "render_formula", "col_to_letters", "letters_to_col",
     "Expr", "Const", "CellRef", "NormalCellRef", "NormalCellArea", "Arith1",
     "Arith2", "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
-    "If", "Choose", "And", "Or", "LEAF_TYPES", "children", "map_children",
-    "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE", "MAX_NESTING",
+    "If", "Choose", "And", "Or", "LEAF_TYPES", "children", "with_children",
+    "map_children", "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE", "MAX_NESTING",
 ]
 
 
@@ -278,7 +278,8 @@ def _leaf(e):
 
 # Per node type: its children in order, and how to rebuild the node from
 # new children.  This table is the only place that knows a node's
-# children; every traversal goes through children() or map_children().
+# children; every traversal goes through children(), with_children() or
+# map_children().
 _SHAPES = {
     Arith1: (lambda e: (e.arg,), lambda e, c: Arith1(e.op, c[0])),
     Arith2: (lambda e: (e.left, e.right), lambda e, c: Arith2(e.op, *c)),
@@ -302,6 +303,12 @@ _SHAPES.update((t, (_leaf, None)) for t in LEAF_TYPES)
 def children(e: Expr) -> tuple:
     """The direct subexpressions of a node, in evaluation order."""
     return _SHAPES[type(e)][0](e)
+
+
+def with_children(e: Expr, kids: tuple) -> Expr:
+    """A node like ``e`` with the children ``kids``, in children() order;
+    ``e`` must not be a leaf."""
+    return _SHAPES[type(e)][1](e, kids)
 
 
 def map_children(e: Expr, f) -> Expr:
@@ -635,6 +642,11 @@ def render_formula(e: Expr) -> str:
     return "=" + _render(e, 0)
 
 
+# The forms rendered as a call of their children, by the name they parse by.
+_FORM_NAMES = {If: "IF", Choose: "CHOOSE", And: "AND", Or: "OR",
+               MakeClosure: "CLOSURE", Apply: "APPLY"}
+
+
 def _render(e: Expr, ctx: int) -> str:
     t = type(e)
     if t is Const:
@@ -653,21 +665,14 @@ def _render(e: Expr, ctx: int) -> str:
         lvl = _BIN_LEVEL[e.op]
         s = f"{_render(e.left, lvl)}{e.op}{_render(e.right, lvl + 1)}"
         return s if ctx <= lvl else f"({s})"
-    if t is If:
-        return (f"IF({_render(e.cond, 0)},{_render(e.then, 0)},"
-                f"{_render(e.other, 0)})")
-    if t is Choose:
-        inner = ",".join(_render(b, 0) for b in e.branches)
-        return f"CHOOSE({_render(e.index, 0)},{inner})"
-    if t is And or t is Or:
-        name = "AND" if t is And else "OR"
-        return f"{name}({','.join(_render(a, 0) for a in e.args)})"
     if t is FunctionCall or t is SdfCall:
-        return f"{e.name}({','.join(_render(a, 0) for a in e.args)})"
-    if t is MakeClosure:
-        parts = [_render(e.fn, 0)] + [_render(a, 0) for a in e.args]
-        return f"CLOSURE({','.join(parts)})"
-    if t is Apply:
-        parts = [_render(e.fn, 0)] + [_render(a, 0) for a in e.args]
-        return f"APPLY({','.join(parts)})"
-    raise TypeError(f"cannot render {e!r}")
+        name = e.name
+    elif t in _FORM_NAMES:
+        name = _FORM_NAMES[t]
+    else:
+        raise TypeError(f"cannot render {e!r}")
+    # A plain loop, not a generator: one frame per level of nesting.
+    parts = []
+    for c in children(e):
+        parts.append(_render(c, 0))
+    return f"{name}({','.join(parts)})"

@@ -8,18 +8,21 @@ registered before the body is processed, so a recursive call with the
 same pattern becomes a call to the residual under construction.
 
 Reduction maps an expression to an expression.  A static subterm is a
-``Const``, its value computed now with the interpreter's exact semantics
-(the operator table in ``values`` and ``engine.eval_expr``, so results
-match bit for bit); any other subterm is its residual expression.  A
-call whose arguments are all partly known is specialized in
-turn; under dynamic control a recursive call is first generalized
-against the pattern currently being specialized, keeping a static
-argument only where its value is unchanged.  This cuts off unbounded
-unfolding of loops whose static state changes, while still letting
-statically reachable recursion unfold precisely.  Runaway chains (a
-recursion that never terminates on the given statics) hit a per-function
-budget; the whole attempt is then rolled back and the original closure
-returned.
+``Const``; any other subterm is its residual expression.  A strict node
+(an operator, a call of a builtin that is not volatile, or CLOSURE) is
+folded only when all its children are static, and then by the
+interpreter itself (``engine.eval_on_consts``: ``eval_expr`` of the node
+with those ``Const`` children), so a static value is the interpreter's
+bit for bit.  Otherwise the node is rebuilt from its reduced children, after the
+exact arithmetic identities of ``_simplify``.  A call whose arguments
+are all partly known is specialized in turn; under dynamic control a
+recursive call is first generalized against the pattern currently being
+specialized, keeping a static argument only where its value is
+unchanged.  This cuts off unbounded unfolding of loops whose static
+state changes, while still letting statically reachable recursion
+unfold precisely.  Runaway chains (a recursion that never terminates on
+the given statics) hit a per-function budget; the whole attempt is then
+rolled back and the original closure returned.
 
 A cell's evaluation condition, an ``sdf.Guard``, is reduced directly,
 literal by literal, with ``dyn`` turning true after the first dynamic
@@ -40,14 +43,13 @@ import sys
 
 from . import codegen, engine, sdf
 from .formula import (
-    And, Apply, Arith2, CellRef, Choose, Comparison, Const, Expr,
-    FunctionCall, If, NormalCellArea, NormalCellRef, Or, SdfCall, children,
-    map_children,
+    And, Apply, Arith2, CellRef, Choose, Const, Expr, FunctionCall, If,
+    NormalCellArea, NormalCellRef, Or, SdfCall, children, with_children,
 )
 from .values import (
-    BINARY_OPS, COMPARE_OPS, ERROR_NAME, ERROR_VALUE, ErrorValue,
-    FunctionValue, HOLE, Number, Value, choose_index, display,
-    fconcat_values, from_double_or_nan, to_double_or_nan, truth, value_key,
+    ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE, Number, Value,
+    choose_index, display, from_double_or_nan, to_double_or_nan, truth,
+    value_key,
 )
 
 __all__ = ["Specializer"]
@@ -62,21 +64,12 @@ class _SpecLimit(Exception):
         self.name = name
 
 
-# The static right operands that give back the other operand, bit for bit,
-# when that operand is a number or an error: NaN arithmetic keeps the
-# payload, and x-0 keeps a negative zero where x+0 and x-(-0) do not.
+# The static right operands (and 1 on either side of *) that give back
+# the other operand, bit for bit, when that operand is a number or an
+# error: NaN arithmetic keeps the payload, and x-0 keeps a negative zero
+# where x+0 and x-(-0) do not.
 _RIGHT_UNIT = {op: value_key(Number(d))
                for op, d in (("-", 0.0), ("*", 1.0), ("/", 1.0), ("^", 1.0))}
-
-
-def _is_zero(r) -> bool:
-    return (type(r) is Const and type(r.value) is Number
-            and r.value.value == 0.0)
-
-
-def _is_one(r) -> bool:
-    return (type(r) is Const and type(r.value) is Number
-            and r.value.value == 1.0)
 
 
 def _key(addr) -> tuple:
@@ -101,10 +94,9 @@ def _pattern_text(pattern) -> str:
 class Specializer:
     """Per-workbook partial evaluator with cache, budget and rollback."""
 
-    def __init__(self, wb, limit: int = 100, strict_simplify: bool = False):
+    def __init__(self, wb, limit: int = 100):
         self.wb = wb
         self.limit = limit
-        self.strict_simplify = strict_simplify
         # (target id, pattern key) -> (residual id, name, dynamic positions)
         self.cache: dict = {}
         # The specializations in progress, innermost last: (target id,
@@ -271,10 +263,6 @@ class Specializer:
             return r
         if t is NormalCellRef or t is NormalCellArea:
             return e            # reads sheet state at call time
-        if t is Arith2:
-            return self._pe_arith2(e, env, dyn)
-        if t is Comparison:
-            return self._pe_comparison(e, env, dyn)
         if t is If:
             return self._pe_if(e, env, dyn)
         if t is Choose:
@@ -286,74 +274,47 @@ class Specializer:
             return self._pe_call(e.target, e.name, reduced, dyn)
         if t is Apply:
             return self._pe_apply(e, env, dyn)
-        # Arith1, a builtin call or CLOSURE: every child is evaluated.
-        r = map_children(e, lambda c: self._pe(c, env, dyn))
-        args = children(r)
-        for a in args:
-            if type(a) is not Const:
-                return r
-        if t is FunctionCall:
-            b = self.wb.registry.get(e.name)
-            if not b.pure:
-                return r
-            return Const(b.invoke([a.value for a in args], self.wb))
-        # No child reads a cell, so no reference point is needed.
-        return Const(engine.eval_expr(r, None, self.wb))
+        return self._pe_strict(e, env, dyn)
 
-    def _pe_arith2(self, e: Arith2, env, dyn):
-        op = e.op
-        l = self._pe(e.left, env, dyn)
-        r = self._pe(e.right, env, dyn)
-        if type(l) is Const and type(r) is Const:
-            if op == "&":
-                return Const(fconcat_values(l.value, r.value))
-            d = BINARY_OPS[op](to_double_or_nan(l.value),
-                               to_double_or_nan(r.value))
-            return Const(from_double_or_nan(d))
-        s = self._simplify(op, l, r)
-        if s is not None:
-            return s
-        return Arith2(op, l, r)
+    def _pe_strict(self, e: Expr, env, dyn):
+        """An operator, a builtin call or CLOSURE: every child is
+        evaluated, so the node is static when all of them are (and, for a
+        call, the builtin is not volatile)."""
+        kids = []
+        for c in children(e):
+            kids.append(self._pe(c, env, dyn))
+        for k in kids:
+            if type(k) is not Const:
+                if type(e) is Arith2:
+                    s = self._simplify(e.op, *kids)
+                    if s is not None:
+                        return s
+                return with_children(e, tuple(kids))
+        if type(e) is FunctionCall and self.wb.registry.get(e.name).volatile:
+            return with_children(e, tuple(kids))
+        return Const(engine.eval_on_consts(e, kids, self.wb))
 
     def _numeric(self, r: Expr) -> bool:
         return codegen.is_numeric(r, self.wb.registry,
                                   self.active[-1][2].__contains__)
 
     def _simplify(self, op, l, r):
-        """Arithmetic identities on residual operands; one of ``l`` and
-        ``r`` is static.
-
-        x-0, x*1, 1*x, x/1 and x^1 apply only to an operand known to be
-        a number or an error, where they are exact; 1^x and x^0 are 1
-        for any x.  The multiply-by-zero pair deletes the dynamic
-        operand, losing an error it might have produced and the sign of
-        a zero; --strict-simplify turns the pair off.
+        """The operand that ``l op r`` gives back bit for bit, or None:
+        x-0, x*1, 1*x, x/1 and x^1 on an operand known to be a number or
+        an error.  No rule drops an operand, which may hold an error or
+        draw RAND: x*0 is #NA for x = #NA and -0 for x < 0, and x^0 and
+        1^x are 1 for any x but would lose the draws of RAND()^0.
         """
-        if op == "*":
-            if not self.strict_simplify and (_is_zero(r) or _is_zero(l)):
-                return _ZERO
-            if _is_one(l) and self._numeric(r):
-                return r
-        elif op == "^" and (_is_one(l) or _is_zero(r)):
-            return _ONE       # 1^x and x^0, even for NaN
         unit = _RIGHT_UNIT.get(op)
-        if (unit is not None and type(r) is Const
-                and value_key(r.value) == unit and self._numeric(l)):
+        if unit is None:
+            return None
+        if (type(r) is Const and value_key(r.value) == unit
+                and self._numeric(l)):
             return l
+        if (op == "*" and type(l) is Const and value_key(l.value) == unit
+                and self._numeric(r)):
+            return r
         return None
-
-    def _pe_comparison(self, e: Comparison, env, dyn):
-        l = self._pe(e.left, env, dyn)
-        r = self._pe(e.right, env, dyn)
-        if type(l) is Const and type(r) is Const:
-            da = to_double_or_nan(l.value)
-            if da != da:
-                return Const(from_double_or_nan(da))
-            db = to_double_or_nan(r.value)
-            if db != db:
-                return Const(from_double_or_nan(db))
-            return _ONE if COMPARE_OPS[e.op](da, db) else _ZERO
-        return Comparison(e.op, l, r)
 
     def _atom(self, e: Expr, env, dyn):
         """Reduce a condition-position node, once per body and ``dyn``."""
@@ -442,13 +403,12 @@ class Specializer:
                 return f
             if type(fv) is not FunctionValue:
                 return Const(ERROR_VALUE)
-            if len(reduced) != fv.arity:
+            merged = self.wb.function_table.merge_args(fv, reduced)
+            if merged is None:
                 return Const(ERROR_VALUE)
-            merged = []
-            it = iter(reduced)
-            for c in fv.captured:
-                merged.append(next(it) if c is HOLE else Const(c))
-            return self._pe_call(fv.target, fv.name, merged, dyn)
+            # A captured value is static; a hole holds its reduced argument.
+            return self._pe_call(fv.target, fv.name, [
+                m if isinstance(m, Expr) else Const(m) for m in merged], dyn)
         return Apply(f, tuple(reduced))
 
     def _pe_call(self, target: int, name: str, reduced: list, dyn: bool):

@@ -107,6 +107,21 @@ def test_save_reload_keeps_every_value_bit_for_bit(tmp_path):
             assert value_key(wb2.get_value(addr)) == want, addr
 
 
+@pytest.mark.parametrize("content", ["a\nb", '="x\r"&A1'])
+def test_save_refuses_a_line_break_before_opening_the_file(
+        monkeypatch, capsys, tmp_path, content):
+    wb = Workbook()
+    wb.add_sheet("Data")
+    wb.set_cell(a1("Data", "B3"), content)
+    path = tmp_path / "book.wbk"
+    with pytest.raises(ValueError, match=r"^Data!B3: a line break"):
+        save_workbook(wb, str(path))
+    assert not path.exists()
+    run_repl(monkeypatch, [f"save {path}", "quit"], wb=wb)
+    assert "error: Data!B3: a line break" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_read_into_rejects_bad_lines():
     wb = Workbook()
     with pytest.raises(ValueError, match="before any sheet"):

@@ -90,6 +90,27 @@ def test_zero_input_function(define):
     assert info_of(w, "NILF").compiled.out_ir == ["const 42", "box", "return"]
 
 
+def test_a_constant_operand_escapes_line_breaks(define):
+    w = define({
+        "B1": "0",
+        "B2": '=IF(B1, "x\n.out B9", IF(B1>1, ERR("a\rb"), "c\\"))',
+        "B3": '=DEFINE("NL", B2, B1)',
+    })
+    compiled = info_of(w, "NL").compiled
+    texts = [ln for ln in compiled.out_ir if ln.startswith("text")]
+    assert texts == ['text "x\\n.out B9"', 'text "a\\rb"', 'text "c\\\\"']
+    assert compiled.listing.count("\n.out ") == 1
+    assert call(w, "NL", 1) == Text("x\n.out B9")
+
+
+def test_out_ir_splits_the_listing_at_newlines_only(define):
+    # str.splitlines would also break at U+0085 and U+2028.
+    w = define({"B1": "0", "B2": '=B1&"x\x85y\u2028z"',
+                "B3": '=DEFINE("LS", B2, B1)'})
+    assert info_of(w, "LS").compiled.out_ir == [
+        "arg 0", 'text "x\x85y\u2028z"', "concat", "return"]
+
+
 # Together these bodies emit every IR mnemonic, in each compile mode that
 # can emit it; tests/codegen_listings.txt holds their full listings.
 EVERY_MNEMONIC_CELLS = {

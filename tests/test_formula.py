@@ -127,6 +127,19 @@ def test_a_formula_at_the_nesting_bound_parses_400_frames_deep(shape):
     assert isinstance(down(400 - _stack_depth()), Expr)
 
 
+@pytest.mark.parametrize("shape", list(AT_BOUND))
+def test_a_formula_at_the_nesting_bound_renders_400_frames_deep(shape):
+    e = parse_formula(AT_BOUND[shape])
+
+    def down(n):
+        return render_formula(e) if n <= 0 else down(n - 1)
+
+    assert sys.getrecursionlimit() == 1000
+    text = down(400 - _stack_depth())
+    assert text == render_formula(e)
+    assert render_formula(parse_formula(text)) == text
+
+
 @pytest.mark.parametrize("text,pos", [
     ("=" + "(" * 3300 + "1" + ")" * 3300, 1 + MAX_NESTING),
     ("=" + "-" * 3300 + "1", 1 + MAX_NESTING),

@@ -140,11 +140,10 @@ def test_benchmark_count_out_of_range_agrees_on_every_path():
 def mixed_mismatches(body, make_node):
     """Operand pairs where a residual with one operand static and the
     other dynamic disagrees with the interpreter.  The specializer's
-    identity rules act only here; strict simplification keeps the lossy
-    multiply-by-zero pair out."""
+    identity rules act only here."""
     cells = {"B1": "0", "B2": "0", "B3": body,
              "B4": '=DEFINE("F", B3, B1, B2)'}
-    w = make_wb(cells, strict_simplify=True)
+    w = make_wb(cells)
     table = w.function_table
     target = table.lookup_name("F")
     at = CellAddr("S", 1, 1)

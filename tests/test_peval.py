@@ -7,7 +7,7 @@ import random
 import pytest
 
 from sheetfun import Number, Text, Workbook
-from sheetfun.engine import Builtin, default_registry
+from sheetfun.engine import Builtin, SplitMix64, default_registry
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE,
     literal, value_key,
@@ -123,6 +123,28 @@ def test_pure_builtin_folds_static_arguments(define):
                              "box", "return"]
 
 
+@pytest.mark.parametrize("volatile", [False, True])
+def test_builtin_folds_unless_volatile(volatile):
+    calls = []
+
+    def twice(args, rt):
+        calls.append(args[0])
+        return Number(args[0].value * 2)
+
+    reg = default_registry().clone()
+    reg.register(Builtin("TWICE", 1, 1, twice, volatile=volatile))
+    w = make_wb({"B1": "0", "B2": "0", "B3": "=B1+TWICE(B2)",
+                 "B4": '=DEFINE("P", B3, B1, B2)'}, registry=reg)
+    fv = spec(w, '=SPECIALIZE(CLOSURE("P", #NA, 4))')
+    folded = ["arg 0", "unwrap", "const 8", "add", "box", "return"]
+    assert (out_ir(w, fv) == folded) != volatile
+    assert ("call TWICE 1" in listing(w, fv)) == volatile
+    calls.clear()
+    assert apply(w, fv, 1) == apply(w, fv, 1) == Number(9.0)
+    # A volatile builtin runs on every call of the residual.
+    assert len(calls) == (2 if volatile else 0)
+
+
 def test_volatile_builtin_survives_specialization():
     w = make_wb(EXPSAMPLE_CELLS)
     before = {i.id for i in w.function_table.items()}
@@ -179,8 +201,6 @@ def test_apply_and_closure_fold_when_static(define):
 # --- algebraic simplification ------------------------------------------------
 
 ABS = ["arg 0", "call ABS 1", "return"]
-ZERO = ["const 0", "box", "return"]
-ONE = ["const 1", "box", "return"]
 
 
 def kept(op, k, right=True):
@@ -201,15 +221,15 @@ RULES = [
     ("=B2-B1", 0, kept("sub", 0, right=False), -7.0),
     ("=B1*B2", 1, kept("mul", 1), 7.0),
     ("=B2*B1", 1, kept("mul", 1, right=False), 7.0),
-    # x*0 is 0 for any operand, up to errors and signs.
-    ("=B1*B2", 0, ZERO, 0.0),
-    ("=B2*B1", 0, ZERO, 0.0),
+    # x*0 is #NA for x = #NA and -0 for a negative x: it stays.
+    ("=B1*B2", 0, kept("mul", 0), 0.0),
+    ("=B2*B1", 0, kept("mul", 0, right=False), 0.0),
     # x/1 and x^1 on an argument: no rule fires either.
     ("=B1/B2", 1, kept("div", 1), 7.0),
     ("=B1^B2", 1, kept("pow", 1), 7.0),
-    # 1^x and x^0 are 1 for any operand.
-    ("=B2^B1", 1, ONE, 1.0),
-    ("=B1^B2", 0, ONE, 1.0),
+    # 1^x and x^0 are 1 for any operand, but they stay, as would x's draws.
+    ("=B2^B1", 1, kept("pow", 1, right=False), 1.0),
+    ("=B1^B2", 0, kept("pow", 0), 1.0),
     # On an operand known to be a number or an error the exact ones fire.
     ("=ABS(B1)-B2", 0, ABS, 7.0),
     ("=ABS(B1)*B2", 1, ABS, 7.0),
@@ -230,8 +250,7 @@ def test_simplify_rule(body, k, ir, expect):
     fv = spec(w, f'=SPECIALIZE(CLOSURE("P", #NA, {k}))')
     assert out_ir(w, fv) == ir
     assert apply(w, fv, 7) == Number(expect)
-    xs = [7] if ir is ZERO else [7, 0, -0.0, -2.5, "abc", ERROR_NA]
-    for x in xs:
+    for x in [7, 0, -0.0, -2.5, "abc", ERROR_NA]:
         assert value_key(apply(w, fv, x)) == value_key(call(w, "P", x, k))
 
 
@@ -244,19 +263,21 @@ def test_identity_rule_on_a_residual_cell_reads_its_formula(b3, fires):
     assert apply(w, fv, 2) == call(w, "P", 2, 1)
 
 
-def test_default_zero_product_drops_errors():
+@pytest.mark.parametrize("body,k", [("=RAND()^B1+RAND()", 0),
+                                    ("=B1^RAND()+RAND()", 1)])
+def test_a_power_that_is_always_one_keeps_its_random_draws(body, k):
+    w = make_wb({"B1": "0", "B2": body, "B3": '=DEFINE("P", B2, B1)'})
+    fv = spec(w, f'=SPECIALIZE(CLOSURE("P", {k}))')
+    w.rng = SplitMix64(7)
+    got = apply(w, fv)
+    w.rng, after = SplitMix64(7), w.rng.state
+    assert value_key(got) == value_key(call(w, "P", k))
+    assert w.rng.state == after
+
+
+def test_zero_product_keeps_the_dynamic_operand():
     w = make_wb({"B1": "0", "B2": "0", "B3": "=B1*B2",
                  "B4": '=DEFINE("P", B3, B1, B2)'})
-    fv = spec(w, '=SPECIALIZE(CLOSURE("P", #NA, 0))')
-    # The aggressive rule trades error propagation for a constant result.
-    assert apply(w, fv, ERROR_NA) == Number(0.0)
-    assert call(w, "P", ERROR_NA, 0) is ERROR_NA
-
-
-def test_strict_simplify_keeps_zero_product():
-    w = make_wb({"B1": "0", "B2": "0", "B3": "=B1*B2",
-                 "B4": '=DEFINE("P", B3, B1, B2)'},
-                strict_simplify=True)
     fv = spec(w, '=SPECIALIZE(CLOSURE("P", #NA, 0))')
     assert "mul" in listing(w, fv)
     assert apply(w, fv, ERROR_NA) is ERROR_NA
@@ -343,7 +364,7 @@ def test_random_residuals_agree_with_the_original():
             cells[cell] = "=" + random_formula(rng, refs, 3)
             refs.append(cell)
         cells["C4"] = '=DEFINE("F", C3, B1, B2, B3)'
-        w = make_wb(cells, strict_simplify=True)
+        w = make_wb(cells)
         target = w.function_table.lookup_name("F")
         # The same cells on an ordinary sheet, for the interpreter; in a
         # workbook of their own, so its recalculation (which re-runs each
