@@ -213,20 +213,6 @@ def _certainly_proper(e: Expr) -> bool:
             and e.value.value == e.value.value)
 
 
-def _unboxed_call_exact(args, cx: _Ctx) -> bool:
-    """Whether a builtin's ``dfunc`` agrees with ``Builtin.invoke`` on
-    these arguments.  invoke returns the first error argument and dfunc
-    the first NaN; they differ when an argument that may be text (a
-    #VALUE! NaN once unboxed) comes before one that may be an error."""
-    maybe_text = False
-    for a in args:
-        if maybe_text and not _certainly_proper(a):
-            return False
-        maybe_text = maybe_text or not is_numeric(a, cx.registry,
-                                                  cx.numeric_cell)
-    return True
-
-
 def compile_to_double(e: Expr, cx: _Ctx, memo: bool = True):
     """Compile to a step producing a raw double (errors as NaNs); a guard
     atom reads its memo unless ``memo`` is false (the memo's own code)."""
@@ -272,9 +258,7 @@ def compile_to_double(e: Expr, cx: _Ctx, memo: bool = True):
                         lambda fr: to_double_or_nan(fr.scratch))
     elif t is FunctionCall:
         b = cx.registry.get(e.name)
-        if b is not None and b.dfunc is not None \
-                and b.min_args == b.max_args == len(e.args) \
-                and _unboxed_call_exact(e.args, cx):
+        if b.dfunc is not None and b.min_args <= len(e.args) <= b.max_args:
             sub = [compile_to_double(a, cx) for a in e.args]
             cx.emit(f"calld {e.name} {len(sub)}")
             dfunc = b.dfunc

@@ -84,38 +84,35 @@ class SplitMix64:
 class Builtin:
     """A callable builtin.
 
-    ``func(args, rt)`` receives evaluated Values and the workbook (None
-    for DEFINE, which the interpreter runs itself).  Strict builtins
-    never see error arguments; the dispatcher propagates the first one
-    instead.  ``dfunc(rt, *doubles)``, when present, is an unboxed fast
-    path used by compiled code; it must agree with ``func``.  The partial
-    evaluator folds a call of any builtin that is not ``volatile``.
+    ``func(args, rt)`` receives evaluated Values, errors too, and the
+    workbook (None for DEFINE, which the interpreter runs itself).  It
+    reads the arguments in order, and the first one it cannot use
+    decides the result: an error as itself, anything else as #VALUE!.
+    ``dfunc(rt, *doubles)``, when present, is the builtin on raw doubles
+    with errors as NaNs, where that rule is "return the first NaN";
+    compiled code calls it, and ``_boxed`` derives ``func`` from it.
+    ``numeric``: the result is always a Number or an error, so compiled
+    code may keep it unboxed.  The partial evaluator folds a call of
+    any builtin that is not ``volatile``.
     """
 
     __slots__ = ("name", "min_args", "max_args", "func", "volatile",
-                 "strict", "dfunc", "numeric")
+                 "dfunc", "numeric")
 
     def __init__(self, name, min_args, max_args, func, *, volatile=False,
-                 strict=True, dfunc=None, numeric=False):
+                 dfunc=None, numeric=False):
         self.name = name
         self.min_args = min_args
         self.max_args = max_args
         self.func = func
         self.volatile = volatile
-        self.strict = strict
         self.dfunc = dfunc
-        # numeric: the result is always a Number or error, so compiled
-        # code may keep it unboxed.
         self.numeric = numeric
 
     def invoke(self, args: list, rt) -> Value:
-        """Apply with arity check and strict error propagation."""
+        """Apply with an arity check."""
         if not (self.min_args <= len(args) <= self.max_args):
             return ERROR_VALUE
-        if self.strict:
-            for a in args:
-                if type(a) is ErrorValue:
-                    return a
         return self.func(args, rt)
 
 
@@ -139,29 +136,21 @@ class Registry:
         return r
 
 
-def _num(args, k=0) -> float:
-    return to_double_or_nan(args[k])
+def _unusable(v) -> Value:
+    """What an unusable argument gives: an error itself, else #VALUE!."""
+    return v if type(v) is ErrorValue else ERROR_VALUE
 
 
-def _each_number(args):
-    """Flatten arrays; yield doubles, or raise _ArgError on bad elements."""
+def _numbers(args):
+    """The doubles of ``args``, arrays flattened, or else what the first
+    argument or array element that is not a number gives."""
+    ds = []
     for a in args:
-        if type(a) is ArrayValue:
-            for elem in a:
-                if type(elem) is ErrorValue:
-                    raise _ArgError(elem)
-                if type(elem) is not Number:
-                    raise _ArgError(ERROR_VALUE)
-                yield elem.value
-        elif type(a) is Number:
-            yield a.value
-        else:
-            raise _ArgError(ERROR_VALUE)
-
-
-class _ArgError(Exception):
-    def __init__(self, error):
-        self.error = error
+        for x in (a if type(a) is ArrayValue else (a,)):
+            if type(x) is not Number:
+                return _unusable(x)
+            ds.append(x.value)
+    return ds
 
 
 def _d_sqrt(rt, d):
@@ -222,12 +211,17 @@ def _d_quotient(rt, a, b):
         return error_nan(ERROR_NUM)
 
 
-def _d_floor(rt, d):
+def _d_floor(rt, d, step=1.0):
     if d != d:
         return d
-    if math.isinf(d):
-        return d
-    return float(math.floor(d))
+    if step != step:
+        return step
+    if step == 0:
+        return error_nan(ERROR_DIV0)
+    q = d / step
+    if math.isfinite(q):
+        q = float(math.floor(q))
+    return q * step
 
 
 def _d_trunc(rt, d):
@@ -242,43 +236,23 @@ def _d_rand(rt):
     return rt.rng.next_double()
 
 
-def _wrap1(dfunc):
-    return lambda args, rt: from_double_or_nan(dfunc(rt, _num(args)))
-
-
-def _wrap2(dfunc):
-    return lambda args, rt: from_double_or_nan(dfunc(rt, _num(args), _num(args, 1)))
-
-
-def _floor_fn(args, rt):
-    d = _num(args)
-    if len(args) == 1:
-        return from_double_or_nan(_d_floor(rt, d))
-    s = _num(args, 1)
-    if d != d:
-        return from_double_or_nan(d)
-    if s != s:
-        return from_double_or_nan(s)
-    if s == 0:
-        return ERROR_DIV0
-    return from_double_or_nan(_d_floor(rt, fdiv(d, s)) * s)
+def _boxed(dfunc):
+    """The boxed form of a builtin written on doubles."""
+    return lambda args, rt: from_double_or_nan(
+        dfunc(rt, *map(to_double_or_nan, args)))
 
 
 def _minmax_fn(pick):
     def fn(args, rt):
-        try:
-            ds = list(_each_number(args))
-        except _ArgError as ex:
-            return ex.error
-        return Number(pick(ds))
+        ds = _numbers(args)
+        return Number(pick(ds)) if type(ds) is list else ds
     return fn
 
 
 def _sum_fn(args, rt):
-    try:
-        ds = list(_each_number(args))
-    except _ArgError as ex:
-        return ex.error
+    ds = _numbers(args)
+    if type(ds) is not list:
+        return ds
     try:
         return Number(math.fsum(ds))
     except (OverflowError, ValueError):
@@ -300,7 +274,7 @@ def _concat_fn(args, rt):
 
 def _err_fn(args, rt):
     if type(args[0]) is not Text:
-        return ERROR_VALUE
+        return _unusable(args[0])
     return ErrorValue.intern("#ERR:" + args[0].value)
 
 
@@ -316,7 +290,7 @@ def _now_fn(args, rt):
 def _specialize_fn(args, rt):
     fv = args[0]
     if type(fv) is not FunctionValue:
-        return ERROR_VALUE
+        return _unusable(fv)
     return rt.specializer.specialize(fv)
 
 
@@ -324,9 +298,9 @@ def _benchmark_fn(args, rt):
     from .cli import benchmark  # local import, cli sits above engine
     fv, count = args[0], args[1]
     if type(fv) is not FunctionValue or fv.arity != 0:
-        return ERROR_VALUE
+        return _unusable(fv)
     if type(count) is not Number or not 1 <= count.value < math.inf:
-        return ERROR_VALUE
+        return _unusable(count)
     return Number(benchmark(rt, fv, int(count.value)))
 
 
@@ -337,25 +311,26 @@ def _build_default_registry() -> Registry:
     def add(name, lo, hi, func, **kw):
         r.register(Builtin(name, lo, hi, func, **kw))
 
-    add("SQRT", 1, 1, _wrap1(_d_sqrt), dfunc=_d_sqrt, numeric=True)
-    add("EXP", 1, 1, _wrap1(_d_exp), dfunc=_d_exp, numeric=True)
-    add("LN", 1, 1, _wrap1(_d_ln), dfunc=_d_ln, numeric=True)
-    add("ABS", 1, 1, _wrap1(_d_abs), dfunc=_d_abs, numeric=True)
-    add("MOD", 2, 2, _wrap2(_d_mod), dfunc=_d_mod, numeric=True)
-    add("QUOTIENT", 2, 2, _wrap2(_d_quotient), dfunc=_d_quotient,
-        numeric=True)
-    add("TRUNC", 1, 1, _wrap1(_d_trunc), dfunc=_d_trunc, numeric=True)
-    add("FLOOR", 1, 2, _floor_fn, numeric=True)
+    def add_d(name, lo, hi, dfunc, **kw):
+        add(name, lo, hi, _boxed(dfunc), dfunc=dfunc, numeric=True, **kw)
+
+    add_d("SQRT", 1, 1, _d_sqrt)
+    add_d("EXP", 1, 1, _d_exp)
+    add_d("LN", 1, 1, _d_ln)
+    add_d("ABS", 1, 1, _d_abs)
+    add_d("MOD", 2, 2, _d_mod)
+    add_d("QUOTIENT", 2, 2, _d_quotient)
+    add_d("TRUNC", 1, 1, _d_trunc)
+    add_d("FLOOR", 1, 2, _d_floor)
     add("MIN", 1, big, _minmax_fn(min), numeric=True)
     add("MAX", 1, big, _minmax_fn(max), numeric=True)
     add("SUM", 1, big, _sum_fn, numeric=True)
     add("CONCAT", 1, big, _concat_fn)
-    add("RAND", 0, 0, lambda args, rt: Number(rt.rng.next_double()),
-        volatile=True, dfunc=_d_rand, numeric=True)
+    add_d("RAND", 0, 0, _d_rand, volatile=True)
     add("NOW", 0, 0, _now_fn, volatile=True, numeric=True)
     add("ERR", 1, 1, _err_fn, numeric=True)
     add("NA", 0, 0, lambda args, rt: ERROR_NA, numeric=True)
-    add("ISERROR", 1, 1, _iserror_fn, strict=False, numeric=True)
+    add("ISERROR", 1, 1, _iserror_fn, numeric=True)
     add("TRUE", 0, 0, lambda args, rt: Number(1.0), numeric=True)
     add("FALSE", 0, 0, lambda args, rt: Number(0.0), numeric=True)
     add("SPECIALIZE", 1, 1, _specialize_fn, volatile=True)

@@ -43,8 +43,9 @@ import sys
 
 from . import codegen, engine, sdf
 from .formula import (
-    And, Apply, Arith2, CellRef, Choose, Const, Expr, FunctionCall, If,
-    NormalCellArea, NormalCellRef, Or, SdfCall, children, with_children,
+    And, Apply, Arith2, CellRef, Choose, Comparison, Const, Expr,
+    FunctionCall, If, NormalCellArea, NormalCellRef, Or, SdfCall, children,
+    walk, with_children,
 )
 from .values import (
     ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE, Number, Value,
@@ -101,8 +102,9 @@ class Specializer:
         self.cache: dict = {}
         # The specializations in progress, innermost last: (target id,
         # pattern tuple, keys of the residual cells of its body that
-        # certainly hold a number or an error, and the reductions of its
-        # condition-position nodes and guards by (id, dyn)).
+        # certainly hold a number or an error, the reductions of its
+        # condition-position nodes and guards by (id, dyn), and the
+        # expressions of its residual cells by key).
         self.active: list = []
         # Observer for cache hits, generalizations, new residuals and
         # limit trips; called with dicts keyed event/function/pattern/action.
@@ -192,7 +194,7 @@ class Specializer:
         # pattern resolves to the residual under construction.
         self.cache[pkey] = entry
         self._journal.append((pkey, res_id))
-        self.active.append((target, pattern, set(), {}))
+        self.active.append((target, pattern, set(), {}, {}))
         try:
             body = self._pe_body(info, pattern)
         finally:
@@ -215,7 +217,7 @@ class Specializer:
         env: dict = {}
         for addr, pv in zip(info.inputs, pattern):
             env[_key(addr)] = CellRef(addr) if pv is HOLE else Const(pv)
-        res_cells: dict = {}
+        res_cells = self.active[-1][4]
         for cell in info.body[:-1]:
             k = _key(cell.addr)
             holds = (cell.eval_cond is None
@@ -274,15 +276,19 @@ class Specializer:
             return self._pe_call(e.target, e.name, reduced, dyn)
         if t is Apply:
             return self._pe_apply(e, env, dyn)
+        if t is Comparison:
+            return self._pe_comparison(e, env, dyn)
         return self._pe_strict(e, env, dyn)
 
-    def _pe_strict(self, e: Expr, env, dyn):
+    def _pe_strict(self, e: Expr, env, dyn, kids=None):
         """An operator, a builtin call or CLOSURE: every child is
         evaluated, so the node is static when all of them are (and, for a
-        call, the builtin is not volatile)."""
-        kids = []
-        for c in children(e):
-            kids.append(self._pe(c, env, dyn))
+        call, the builtin is not volatile).  ``kids`` are the children
+        already reduced, if any."""
+        if kids is None:
+            kids = []
+            for c in children(e):
+                kids.append(self._pe(c, env, dyn))
         for k in kids:
             if type(k) is not Const:
                 if type(e) is Arith2:
@@ -293,6 +299,35 @@ class Specializer:
         if type(e) is FunctionCall and self.wb.registry.get(e.name).volatile:
             return with_children(e, tuple(kids))
         return Const(engine.eval_on_consts(e, kids, self.wb))
+
+    def _pe_comparison(self, e: Comparison, env, dyn):
+        """A static left operand that is not a number decides a
+        comparison, as in the interpreter: the right one is never
+        reduced, so its calls are not specialized."""
+        left = self._pe(e.left, env, dyn)
+        if type(left) is Const:
+            d = to_double_or_nan(left.value)
+            if d != d:
+                return Const(from_double_or_nan(d))
+        return self._pe_strict(e, env, dyn,
+                               [left, self._pe(e.right, env, dyn)])
+
+    def _may_draw(self, r: Expr) -> bool:
+        """Whether a residual expression may draw RAND or run another
+        volatile builtin: it holds a call of a function or of a volatile
+        builtin, or an APPLY, or reads a residual cell that does.  Each
+        cell is looked at once, however many paths read it."""
+        registry, unread = self.wb.registry, dict(self.active[-1][4])
+        todo = [r]
+        while todo:
+            for n in walk(todo.pop()):
+                t = type(n)
+                if t is SdfCall or t is Apply or (
+                        t is FunctionCall and registry.get(n.name).volatile):
+                    return True
+                if t is CellRef and _key(n.addr) in unread:
+                    todo.append(unread.pop(_key(n.addr)))
+        return False
 
     def _numeric(self, r: Expr) -> bool:
         return codegen.is_numeric(r, self.wb.registry,
@@ -442,7 +477,10 @@ class Specializer:
                     return SdfCall(target, name, tuple(reduced))
         res_id, res_name, dyn_pos = self._ensure(target, tuple(pattern))
         rinfo = table.get(res_id)
+        dyn_args = tuple(reduced[i] for i in dyn_pos)
         if rinfo is not None and len(rinfo.body) == 1 \
-                and type(rinfo.body[0].expr) is Const:
+                and type(rinfo.body[0].expr) is Const \
+                and not any(map(self._may_draw, dyn_args)):
+            # The call's value is known, and no argument it drops draws.
             return rinfo.body[0].expr
-        return SdfCall(res_id, res_name, tuple(reduced[i] for i in dyn_pos))
+        return SdfCall(res_id, res_name, dyn_args)

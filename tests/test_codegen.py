@@ -84,6 +84,21 @@ def test_builtin_call_modes(define):
     assert call(w, "MIX", 16) == Number(4.0)
 
 
+def test_a_builtin_with_a_double_form_is_called_unboxed(define):
+    # At every argument count it takes, and whatever its arguments may
+    # hold: the text B1&"" gives MOD's double form a #VALUE! NaN.
+    w = define({
+        "B1": "0", "B2": "0",
+        "B3": '=FLOOR(B1)+FLOOR(B1, B2)+MOD(B1&"", B2)',
+        "B4": '=DEFINE("FL", B3, B1, B2)',
+    })
+    ir = info_of(w, "FL").compiled.out_ir
+    assert [ln for ln in ir if ln.startswith("call")] == [
+        "calld FLOOR 1", "calld FLOOR 2", "calld MOD 2"]
+    assert call(w, "FL", 7.5, 2) is ERROR_VALUE
+    assert call(w, "FL", ERROR_NA, 2) is ERROR_NA
+
+
 def test_zero_input_function(define):
     w = define({"B2": "42", "B3": '=DEFINE("NILF", B2)'})
     assert call(w, "NILF") == Number(42.0)

@@ -199,6 +199,17 @@ def test_registry_clone_is_isolated():
     assert default_registry().get("EXTRA") is None
 
 
+def test_a_registered_builtin_sees_error_arguments():
+    # No pre-scan answers for it: it reads its arguments and keeps the
+    # rule itself, here by counting the errors.
+    reg = default_registry().clone()
+    reg.register(Builtin("NERR", 1, 3, lambda args, rt: Number(float(
+        sum(type(a) is ErrorValue for a in args)))))
+    wb = Workbook(registry=reg)
+    wb.add_sheet("S")
+    assert ev(wb, '=NERR(NA(), 1, 1/0)') == Number(2.0)
+
+
 def test_define_rejected_on_ordinary_sheet(wb):
     fill(wb, "S", {"A1": "0", "A2": "=A1", "A3": '=DEFINE("NOPE", A2, A1)'})
     wb.recalculate()

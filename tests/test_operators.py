@@ -12,7 +12,7 @@ import struct
 
 import pytest
 
-from sheetfun import CellAddr, Number, Text
+from sheetfun import CellAddr, Number, Text, display
 from sheetfun.engine import eval_expr
 from sheetfun.formula import (
     And, Apply, Arith1, Arith2, CellRef, Choose, Comparison, Const, Expr,
@@ -21,7 +21,7 @@ from sheetfun.formula import (
 )
 from sheetfun.values import (
     BINARY_OPS, COMPARE_OPS, ERROR_DIV0, ERROR_NA, ERROR_NUM, ERROR_VALUE,
-    HOLE, UNARY_OPS, ErrorValue, FunctionValue,
+    HOLE, UNARY_OPS, ArrayValue, ErrorValue, FunctionValue,
 )
 
 from conftest import make_wb
@@ -95,13 +95,58 @@ def test_unary_operator_agrees_on_every_path(op):
     assert not bad, bad[:5]
 
 
-@pytest.mark.parametrize("name", ["MOD", "QUOTIENT"])
-def test_unboxed_builtin_call_agrees_on_every_path(name):
-    # Under unary minus the call runs on raw doubles; a text argument
-    # must not hide the error argument after it.
-    bad = mismatches(f"=-{name}(B1, B2)", PAIRS,
-                     lambda a, b: Arith1("-", FunctionCall(name, (a, b))))
+@pytest.mark.parametrize("name, arity", [("MOD", 2), ("QUOTIENT", 2),
+                                         ("FLOOR", 1), ("FLOOR", 2)],
+                         ids=["MOD", "QUOTIENT", "FLOOR1", "FLOOR2"])
+def test_unboxed_builtin_call_agrees_on_every_path(name, arity):
+    # Under unary minus the call runs on raw doubles.
+    params = ", ".join(f"B{i + 1}" for i in range(arity))
+    operands = PAIRS if arity == 2 else [(a,) for a in POOL]
+    bad = mismatches(f"=-{name}({params})", operands,
+                     lambda *a: Arith1("-", FunctionCall(name, a)))
     assert not bad, bad[:5]
+
+
+# Every builtin reads its arguments in order, and the first one it cannot
+# use decides: an error as itself, anything else as #VALUE!.
+TEXT = Text("a")
+ARRAY = ArrayValue(((Number(1.0), Text("b")),))
+IN_ORDER = [
+    # Text, or an array where a number is wanted, before an error.
+    *[(name, (TEXT, ERROR_NA), ERROR_VALUE)
+      for name in ("MOD", "QUOTIENT", "FLOOR", "MIN", "MAX", "SUM")],
+    ("CONCAT", (ARRAY, ERROR_NA), ERROR_VALUE),
+    ("BENCHMARK", (TEXT, ERROR_NA), ERROR_VALUE),
+    # The error first.
+    *[(name, (ERROR_NA, TEXT), ERROR_NA)
+      for name in ("MOD", "QUOTIENT", "FLOOR", "MIN", "MAX", "SUM")],
+    ("CONCAT", (ERROR_DIV0, ARRAY), ERROR_DIV0),
+    # A lone error argument.
+    ("SUM", (ERROR_NA,), ERROR_NA),
+    ("MIN", (ERROR_NA, Number(2.0)), ERROR_NA),
+    ("MAX", (Number(1.0), ERROR_NA), ERROR_NA),
+    ("ERR", (ERROR_NA,), ERROR_NA),
+    ("SPECIALIZE", (ERROR_NA,), ERROR_NA),
+    ("BENCHMARK", (ERROR_NA, Number(1.0)), ERROR_NA),
+]
+
+
+@pytest.mark.parametrize("neg", [False, True], ids=["boxed", "negated"])
+@pytest.mark.parametrize(
+    "name, args, want", IN_ORDER,
+    ids=[f"{n}({','.join(display(a) for a in args)})"
+         for n, args, _ in IN_ORDER])
+def test_builtin_reads_its_arguments_in_order(name, args, want, neg):
+    # Negated, a builtin with a double form runs on raw doubles in
+    # compiled code.
+    params = ", ".join(f"B{i + 1}" for i in range(len(args)))
+    body = f"={'-' if neg else ''}{name}({params})"
+
+    def node(*a):
+        call = FunctionCall(name, a)
+        return Arith1("-", call) if neg else call
+    got = [r[1:] for r in three_paths(body, [args], node)]
+    assert got == [(want, want, want)]
 
 
 def test_choose_index_agrees_on_every_path():

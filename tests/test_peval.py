@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sheetfun import Number, Text, Workbook
+from sheetfun import Number, Text, Workbook, peval
 from sheetfun.engine import Builtin, SplitMix64, default_registry
 from sheetfun.values import (
     ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE,
@@ -273,6 +273,63 @@ def test_a_power_that_is_always_one_keeps_its_random_draws(body, k):
     w.rng, after = SplitMix64(7), w.rng.state
     assert value_key(got) == value_key(call(w, "P", k))
     assert w.rng.state == after
+
+
+G_CELLS = {"B1": "0", "B2": "0", "B3": "=IF(B1, 1, B2)",
+           "B4": '=DEFINE("G", B3, B1, B2)'}
+
+
+@pytest.mark.parametrize("cells", [
+    {"C2": "=G(C1, RAND())+RAND()"},
+    # The draw sits in a residual cell that only the dropped arguments read.
+    {"C2": "=G(C1, C4)+G(C1, C4)+RAND()", "C4": "=RAND()"},
+], ids=["argument", "cell"])
+def test_a_call_that_folds_keeps_its_dropped_random_draws(cells):
+    # G(1, b) is 1 whatever b is, but H's call of G still draws b.
+    w = make_wb({**G_CELLS, "C1": "0", **cells,
+                 "C3": '=DEFINE("H", C2, C1)'})
+    fv = spec(w, '=SPECIALIZE(CLOSURE("H", 1))')
+    w.rng = SplitMix64(7)
+    got = apply(w, fv)
+    w.rng, after = SplitMix64(7), w.rng.state
+    assert value_key(got) == value_key(call(w, "H", 1))
+    assert w.rng.state == after
+
+
+def test_a_call_that_folds_drops_arguments_that_do_not_draw():
+    w = make_wb({**G_CELLS, "C1": "0", "C2": "=G(C1, C4*2)+C4",
+                 "C3": '=DEFINE("H", C2, C1, C4)', "C4": "0"})
+    fv = spec(w, '=SPECIALIZE(CLOSURE("H", 1, #NA))')
+    assert "fn#" not in listing(w, fv)  # G(1, y*2) is 1
+    assert apply(w, fv, 5) == Number(6.0)
+
+
+def test_the_draw_check_looks_at_each_residual_cell_once(monkeypatch):
+    # D12 reads D11 twice, D11 reads D10 twice, and so on: following
+    # every path would walk 2**11 cells.
+    cells = {**G_CELLS, "C1": "0", "D1": "0", "D2": "=D1+1",
+             "C2": "=G(C1, D12)+D12", "C3": '=DEFINE("H", C2, C1, D1)'}
+    cells.update({f"D{i}": f"=D{i - 1}+D{i - 1}" for i in range(3, 13)})
+    w = make_wb(cells)
+    walks = []
+    walk = peval.walk
+    monkeypatch.setattr(peval, "walk", lambda e: walks.append(e) or walk(e))
+    fv = spec(w, '=SPECIALIZE(CLOSURE("H", 1, #NA))')
+    assert "fn#" not in listing(w, fv)
+    assert len(walks) <= 12
+    assert apply(w, fv, 1) == Number(1.0 + 2.0 ** 11)
+
+
+@pytest.mark.parametrize("recur", ["B1-1", "B1+1"])
+def test_a_static_error_decides_a_comparison_before_its_right_operand(recur):
+    # The right operand never runs, so its recursion is not specialized.
+    w = make_wb({"B1": "0", "B2": f"=IF(B1<=0, 0, (1/0)<L({recur}))",
+                 "B3": '=DEFINE("L", B2, B1)'})
+    before = fn_count(w)
+    fv = spec(w, '=SPECIALIZE(CLOSURE("L", 5))')
+    assert fn_count(w) - before == 1
+    assert not w.diagnostics
+    assert apply(w, fv) is ERROR_DIV0
 
 
 def test_zero_product_keeps_the_dynamic_operand():
