@@ -26,7 +26,9 @@ import sys
 import time
 
 from .engine import Workbook
-from .formula import CellAddr, FormulaError, letters_to_col, render_formula
+from .formula import (
+    A1_RE, CellAddr, FormulaError, letters_to_col, render_formula,
+)
 from .values import FunctionValue, Value, display, literal
 
 __all__ = ["benchmark", "load_workbook", "save_workbook", "main"]
@@ -45,15 +47,12 @@ def benchmark(rt, fv: FunctionValue, count: int) -> float:
 
 # --- workbook files ----------------------------------------------------------
 
-# A cell address: column letters, then the row number.
-_ADDR = r"([A-Za-z]+)(\d+)"
-_ADDR_RE = re.compile(_ADDR)
 # A workbook file line that sets a cell: its address, "=", the content.
-_CELL_LINE_RE = re.compile(_ADDR + r"\s*=(.*)", re.DOTALL)
+_CELL_LINE_RE = re.compile(A1_RE.pattern + r"\s*=(.*)", re.DOTALL)
 
 
 def _parse_addr(text: str) -> tuple[int, int]:
-    m = _ADDR_RE.fullmatch(text)
+    m = A1_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"bad cell address {text!r}")
     return letters_to_col(m[1]), int(m[2])

@@ -267,14 +267,12 @@ def compile_to_double(e: Expr, cx: _Ctx, memo: bool = True):
             elif len(sub) == 1:
                 s0, = sub
                 step = lambda fr: dfunc(fr.rt, s0(fr))
-            elif len(sub) == 2:
+            else:
                 s0, s1 = sub
                 step = lambda fr: dfunc(fr.rt, s0(fr), s1(fr))
-            else:
-                step = lambda fr: dfunc(fr.rt, *[s(fr) for s in sub])
             return _noting_volatile(step) if b.volatile else step
     # General case: build the boxed value, then unwrap.
-    s = compile_to_value(e, cx, memo=False)
+    s = compile_to_value(e, cx)
     cx.emit("unwrap")
     return lambda fr: to_double_or_nan(s(fr))
 
@@ -552,12 +550,9 @@ def _literal_double(lit, cx: _Ctx):
 
 # --- value mode --------------------------------------------------------------
 
-def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False,
-                     memo: bool = True):
+def compile_to_value(e: Expr, cx: _Ctx, tail: bool = False):
     """Compile to a step producing a boxed Value (or a TailCall token in
-    tail position); a guard atom boxes its memo unless ``memo`` is false."""
-    if memo and id(e) in cx.shared:
-        return _box_step(compile_to_double(e, cx), cx)
+    tail position)."""
     t = type(e)
     if t is Const:
         v = e.value

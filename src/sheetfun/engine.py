@@ -42,7 +42,7 @@ from . import codegen, peval, sdf
 from .formula import (
     And, Apply, Arith1, Arith2, CellAddr, CellRef, Choose, Comparison, Const,
     Expr, FunctionCall, If, MakeClosure, NormalCellArea, NormalCellRef, Or,
-    SdfCall, SIGNED_NUMBER_RE, parse_formula, with_children,
+    SIGNED_NUMBER_RE, parse_formula, with_children,
 )
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
@@ -193,8 +193,6 @@ def _d_mod(rt, a, b):
         return a % b
     except ZeroDivisionError:
         return error_nan(ERROR_DIV0)
-    except ValueError:
-        return error_nan(ERROR_NUM)
 
 
 def _d_quotient(rt, a, b):
@@ -467,9 +465,6 @@ class Workbook:
         # Cells that read this sheet before it existed got #REF!.
         self._changed([c for k, c in self._absent.items() if k[0] == name])
         return sheet
-
-    def sheet(self, name: str) -> Sheet | None:
-        return self.sheets.get(name)
 
     def set_cell(self, addr: CellAddr, text: str) -> None:
         """Set a cell from source text: a formula or a constant.  The next
@@ -815,10 +810,6 @@ def eval_expr(e: Expr, at: CellAddr, wb: Workbook) -> Value:
         return Number(0.0 if want else 1.0)
     if t is FunctionCall:
         return _eval_call(e, at, wb)
-    if t is SdfCall:
-        wb.note_function_use()
-        argv = [eval_expr(a, at, wb) for a in e.args]
-        return wb.function_table.call(e.target, argv, wb)
     if t is MakeClosure:
         return _eval_make_closure(e, at, wb)
     if t is Apply:
@@ -865,9 +856,9 @@ def _arith2(op: str, a: Value, b: Value) -> Value:
 
 
 def _compare(op: str, a: Value, b: Value) -> Value:
+    """``a`` is a number: both callers decide a left operand that is not
+    one themselves."""
     da = to_double_or_nan(a)
-    if da != da:
-        return from_double_or_nan(da)
     db = to_double_or_nan(b)
     if db != db:
         return from_double_or_nan(db)

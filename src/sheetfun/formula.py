@@ -37,6 +37,7 @@ __all__ = [
     "Arith2", "Comparison", "FunctionCall", "SdfCall", "MakeClosure", "Apply",
     "If", "Choose", "And", "Or", "LEAF_TYPES", "children", "with_children",
     "map_children", "walk", "PARSER_FORMS", "SIGNED_NUMBER_RE", "MAX_NESTING",
+    "A1_RE",
 ]
 
 
@@ -358,7 +359,8 @@ _IDENT, _OP, _BAD = 3, 4, 5
 _EOF = ("", "", "", "", "", "")
 _bad_field = itemgetter(_BAD)
 
-_A1_RE = re.compile(r"^([A-Za-z]{1,3})(\d+)$")
+# A cell address: one to three column letters, then the row number.
+A1_RE = re.compile(r"([A-Za-z]{1,3})(\d+)")
 
 
 def _tokenize(text: str, start: int) -> list:
@@ -492,14 +494,14 @@ class _Parser:
                 self.depth -= 1
                 e = self.make_call(ident.upper(), args, i)
             elif after == "!":
-                m = _A1_RE.match(toks[i + 2][_IDENT])
+                m = A1_RE.fullmatch(toks[i + 2][_IDENT])
                 if m is None:
                     raise self.error("expected cell reference after '!'",
                                      i + 2)
                 self.i = i + 3
                 e = self.reference(m, ident, NormalCellRef)
             else:
-                m = _A1_RE.match(ident)
+                m = A1_RE.fullmatch(ident)
                 if m is None:
                     raise self.error(f"unknown name {ident!r}", i)
                 e = self.reference(m, None, CellRef)
@@ -536,7 +538,7 @@ class _Parser:
         i = self.i
         if self.toks[i][_OP] != ":":
             return node(start)
-        m = _A1_RE.match(self.toks[i + 1][_IDENT])
+        m = A1_RE.fullmatch(self.toks[i + 1][_IDENT])
         if m is None:
             raise self.error("expected cell reference after ':'", i + 1)
         self.i = i + 2

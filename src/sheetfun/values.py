@@ -110,7 +110,8 @@ class ErrorValue(Value):
 
     Errors are interned per session: the same name always yields the same
     object and the same registry index, so the index can stand in for the
-    error inside a NaN payload.
+    error inside a NaN payload, and two errors are equal when they are the
+    same object.
     """
 
     __slots__ = ("index", "name", "_nan")
@@ -144,14 +145,6 @@ class ErrorValue(Value):
     @classmethod
     def registered(cls) -> list["ErrorValue"]:
         return list(cls._by_index)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, ErrorValue) and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash(("err", self.index))
 
     def __repr__(self):
         return f"ErrorValue({self.name})"
@@ -364,7 +357,7 @@ def display(v) -> str:
             ",".join(literal(c) for c in row) for row in v.rows
         ) + "}"
     if t is FunctionValue:
-        args = ",".join("#NA" if c is HOLE else literal(c) for c in v.captured)
+        args = ",".join(map(literal, v.captured))
         return f"{v.name}({args})"
     if v is HOLE:
         return "#NA"

@@ -1,15 +1,11 @@
-import re
-
 import pytest
 
 from sheetfun import CellAddr, Number, Text, Value, Workbook
-from sheetfun.formula import letters_to_col
-
-_A1 = re.compile(r"^([A-Za-z]{1,3})(\d+)$")
+from sheetfun.formula import A1_RE, letters_to_col
 
 
 def a1(sheet: str, ref: str) -> CellAddr:
-    m = _A1.match(ref)
+    m = A1_RE.fullmatch(ref)
     assert m, ref
     return CellAddr(sheet, letters_to_col(m.group(1)), int(m.group(2)))
 

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import runpy
+import sys
 
 import pytest
 
@@ -135,6 +137,13 @@ def test_read_into_rejects_bad_lines():
     wb3 = Workbook()
     with pytest.raises(ValueError, match="expected"):
         read_into(wb3, io.StringIO("sheet S\njunk\n"))
+    # A column has one to three letters, as in a formula.
+    for addr in ("ABCD1", "ZZZZZZZZZZZZZZ1"):
+        with pytest.raises(ValueError,
+                           match=f"<input>:2: bad cell address '{addr}'"):
+            read_into(Workbook(), io.StringIO(f"sheet S\n{addr} = 5\n"))
+    with pytest.raises(ValueError, match="sheet S already exists"):
+        read_into(Workbook(), io.StringIO("sheet S\nsheet S\n"))
 
 
 def test_a_formula_that_does_not_parse_names_its_file_line_and_cell(
@@ -156,6 +165,14 @@ def test_main_eval_prints_results(capsys):
     assert main(["--eval", "1+2", "--eval", "=1/0"]) == 0
     out = capsys.readouterr().out
     assert out == "3\n#DIV/0!\n"
+
+
+def test_python_m_sheetfun_runs_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["sheetfun", "--eval", "6*7"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("sheetfun", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "42\n"
 
 
 def test_main_eval_with_workbook(tmp_path, capsys):
@@ -305,19 +322,38 @@ def test_repl_spec_commands(monkeypatch, capsys):
 
 
 def test_repl_error_paths(monkeypatch, capsys):
-    run_repl(monkeypatch, [
+    wb = run_repl(monkeypatch, [
         "=1+",                  # parse error
         "nonsense",             # unknown command
         "ir NOPE",              # unknown function
         "set A1 5",             # no current sheet yet
         "bench 1+1",            # not a closure
         "bench 1+1 0",          # zero calls
+        "bench =1+",            # parse error
         "eval",                 # missing address
         "call",                 # missing name
         "specialize",           # missing expression
-        "quit",
-    ])
-    err = capsys.readouterr().err
+        "sheet",                # missing name
+        "save",                 # missing path
+        "",
+        "sheet S",
+        "sheet T",
+        "sheet S",              # back to a sheet that exists
+        "set ABCD1 5",          # four column letters
+        "set A1 =1+",           # a formula that does not parse
+        'set A2 =DEFINE("X", A3)',  # a diagnostic: not a function sheet
+        "set A3 7",
+        "diag",
+    ])                          # ends at end of input, not at quit
+    out, err = capsys.readouterr()
+    assert wb.get_value(a1("S", "A3")) == Number(7.0)
+    assert "function sheet" in out
+    assert not wb.diagnostics
+    assert out.endswith("\n\n")
+    assert "usage: sheet" in err
+    assert "usage: save" in err
+    assert "error: bad cell address 'ABCD1'" in err
+    assert "error: unexpected 'end' (at 3)" in err
     assert "parse error" in err
     assert "unknown command" in err
     assert "unknown function" in err
@@ -327,6 +363,7 @@ def test_repl_error_paths(monkeypatch, capsys):
     assert "usage: eval" in err
     assert "usage: call" in err
     assert "usage: specialize" in err
+    assert err.count("parse error") == 2
 
 
 def test_main_piped_repl(monkeypatch, capsys):

@@ -77,11 +77,18 @@ def test_builtin_call_modes(define):
         "B1": "0",
         "B2": "=SQRT(B1)+ISERROR(B1)",
         "B3": '=DEFINE("MIX", B2, B1)',
+        "I1": "0",
+        "I2": '=I1+DEFINE("ZZ", I1)',
+        "I3": '=DEFINE("DEFBODY", I2, I1)',
     })
     listing = info_of(w, "MIX").compiled.listing
     assert "calld SQRT 1" in listing      # numeric fast path, no boxing
     assert "call ISERROR 1" in listing    # general path through values
     assert call(w, "MIX", 16) == Number(4.0)
+    # Only a sheet cell runs DEFINE; in a body it is #VALUE!.
+    assert "error #VALUE!" in info_of(w, "DEFBODY").compiled.listing
+    assert call(w, "DEFBODY", 1) is ERROR_VALUE
+    assert w.function_table.lookup_name("ZZ") is None
 
 
 def test_a_builtin_with_a_double_form_is_called_unboxed(define):

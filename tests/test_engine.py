@@ -4,10 +4,11 @@ import math
 import random
 import struct
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from sheetfun import CellAddr, Number, Text, Workbook, display
+from sheetfun import CellAddr, Number, Text, Workbook, display, engine
 from sheetfun.engine import Builtin, Registry, SplitMix64, default_registry
 from sheetfun.values import (
     ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NAME, ERROR_NUM, ERROR_REF,
@@ -680,6 +681,35 @@ def test_signed_zero_is_a_change():
     w.recalculate()
     assert counter[0] == 4
     assert math.copysign(1.0, w.get_value(a1("S", "A3")).value) == -1.0
+
+
+def test_a_cell_read_by_many_formulas_keeps_its_readers_in_a_set(wb):
+    fill(wb, "S", {"A1": "1", **{f"B{k}": f"=A1*{k}" for k in range(1, 21)}})
+    wb.recalculate()
+    hub = wb.sheets["S"].cells[(1, 1)]
+    assert type(hub.readers) is set and len(hub.readers) == 20
+    # A reader overwritten with a constant leaves the set.
+    fill(wb, "S", {f"B{k}": "0" for k in range(1, 11)})
+    assert len(hub.readers) == 10
+    wb.set_cell(a1("S", "A1"), "3")
+    wb.recalculate()
+    assert wb.get_value(a1("S", "B11")) == Number(33.0)
+    assert wb.get_value(a1("S", "B20")) == Number(60.0)
+    assert {wb.get_value(a1("S", f"B{k}")).value for k in range(1, 11)} == {0}
+    _check_edges(wb)
+
+
+def test_a_large_recalculation_ends_with_a_young_collection(monkeypatch):
+    # The collection falls here instead of in the next operation that
+    # allocates; a recalculation of at most _COLLECT_AFTER cells skips it.
+    collected = []
+    monkeypatch.setattr(engine, "gc", SimpleNamespace(collect=collected.append))
+    for n, want in ((engine._COLLECT_AFTER, []),
+                    (engine._COLLECT_AFTER + 1, [0])):
+        w = make_wb()
+        fill(w, "S", {f"A{i}": "=1" for i in range(1, n + 1)})
+        w.recalculate()
+        assert collected == want
 
 
 def test_compiled_rand_keeps_its_caller_volatile():

@@ -13,7 +13,9 @@ from sheetfun.formula import (
     letters_to_col, parse_expr, parse_formula, render_expr, render_formula,
     walk,
 )
-from sheetfun.values import ERROR_NA, ERROR_REF, ErrorValue, Number, Text
+from sheetfun.values import (
+    ERROR_NA, ERROR_REF, ArrayValue, ErrorValue, Number, Text,
+)
 
 
 def num(d: float) -> Const:
@@ -48,6 +50,8 @@ def test_parse_error_literals():
     assert parse_expr("#REF!") == Const(ERROR_REF)
     e = parse_expr("#ERR:custom")
     assert e == Const(ErrorValue.intern("#ERR:custom"))
+    assert parse_expr('{1,"a";#NA,-2}') == Const(ArrayValue(
+        ((Number(1.0), Text("a")), (ERROR_NA, Number(-2.0)))))
 
 
 def test_parse_refs():
@@ -225,6 +229,7 @@ ROUND_TRIP = [
     "SUM(A1,B1,2.5)",
     "NOT(A1)",
     "-(1+2)",
+    '{1,"a";#NA,2}',
 ]
 
 

@@ -96,8 +96,11 @@ def test_unary_operator_agrees_on_every_path(op):
 
 
 @pytest.mark.parametrize("name, arity", [("MOD", 2), ("QUOTIENT", 2),
-                                         ("FLOOR", 1), ("FLOOR", 2)],
-                         ids=["MOD", "QUOTIENT", "FLOOR1", "FLOOR2"])
+                                         ("FLOOR", 1), ("FLOOR", 2),
+                                         ("SQRT", 1), ("EXP", 1), ("LN", 1),
+                                         ("ABS", 1), ("TRUNC", 1)],
+                         ids=["MOD", "QUOTIENT", "FLOOR1", "FLOOR2", "SQRT",
+                              "EXP", "LN", "ABS", "TRUNC"])
 def test_unboxed_builtin_call_agrees_on_every_path(name, arity):
     # Under unary minus the call runs on raw doubles.
     params = ", ".join(f"B{i + 1}" for i in range(arity))
@@ -147,6 +150,21 @@ def test_builtin_reads_its_arguments_in_order(name, args, want, neg):
         return Arith1("-", call) if neg else call
     got = [r[1:] for r in three_paths(body, [args], node)]
     assert got == [(want, want, want)]
+
+
+# APPLY or CLOSURE of what is not a function gives an error as itself and
+# anything else as #VALUE!, and so does a closure given more arguments
+# than it has holes.
+@pytest.mark.parametrize("body, make_node", [
+    ("=APPLY(B1, 2)", lambda f: Apply(f, (Const(Number(2.0)),))),
+    ("=CLOSURE(B1, 1, 2)",
+     lambda f: MakeClosure(f, (Const(Number(1.0)), Const(Number(2.0))))),
+], ids=["APPLY", "CLOSURE"])
+def test_apply_and_closure_of_what_is_not_a_function_agree(body, make_node):
+    operands = [(Number(5.0),), (ERROR_DIV0,),
+                (FunctionValue(1, "G", [Number(0.0)]),)]
+    got = [r[1:] for r in three_paths(body, operands, make_node)]
+    assert got == [(v, v, v) for v in (ERROR_VALUE, ERROR_DIV0, ERROR_VALUE)]
 
 
 def test_choose_index_agrees_on_every_path():

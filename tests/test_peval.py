@@ -163,14 +163,35 @@ def test_generalization_closes_the_sampler_chain():
     # one open-counter variant that calls itself.
     w = make_wb(EXPSAMPLE_CELLS)
     before = {i.id for i in w.function_table.items()}
+    events = []
+    w.specializer.trace = events.append
     spec(w, '=SPECIALIZE(CLOSURE("EXPSAMPLE", 0.15, 1))')
     new = [i for i in w.function_table.items() if i.id not in before]
     names = sorted(i.name.rsplit("#", 1)[0] for i in new)
     assert names == ["EXPSAMPLE(0.15,#NA)", "EXPSAMPLE(0.15,1)"]
+    assert {"event": "generalize", "function": "EXPSAMPLE",
+            "pattern": "(0.15,#NA)", "action": "widened from (0.15,2)"} \
+        in events
     entry = next(i for i in new if "(0.15,1)" in i.name)
     open_n = next(i for i in new if "#NA" in i.name)
     assert f"fn#{open_n.id}" in entry.compiled.listing
     assert f"tailsdf fn#{open_n.id}" in open_n.compiled.listing
+
+
+def test_a_residual_reads_sheet_cells_and_calls_when_it_runs(define):
+    # S!A1 is read at call time, and ONE's arguments are all dynamic, so
+    # its call stays as it is.
+    w = define({
+        "B1": "0", "B2": "=B1*10", "B3": '=DEFINE("ONE", B2, B1)',
+        "E1": "0", "E2": "0", "E3": "=E1+S!A1+ONE(E2)",
+        "E4": '=DEFINE("RS", E3, E1, E2)',
+    })
+    fv = spec(w, '=SPECIALIZE(CLOSURE("RS", 1, #NA))')
+    assert "getcell S!A1" in listing(w, fv)
+    for a in (5, 7):
+        fill(w, "S", {"A1": str(a)})
+        w.recalculate()
+        assert apply(w, fv, 2) == call(w, "RS", 1, 2) == Number(21.0 + a)
 
 
 def test_passthrough_output(define):
@@ -510,6 +531,25 @@ def test_budget_rolls_back_and_keeps_the_original():
     # The same workbook can still specialize within the budget afterwards.
     ok = spec(w, '=SPECIALIZE(CLOSURE("FACD", 3))')
     assert apply(w, ok) == Number(6.0)
+
+
+def test_a_rollback_removes_the_residuals_it_installed():
+    # G(2)'s residual is installed before H's unfolding trips the budget;
+    # the rollback removes it and its name.
+    w = make_wb({
+        "B1": "0", "B2": "=B1*3", "B3": '=DEFINE("G", B2, B1)',
+        "C1": "0", "C2": "=G(2)+H(C1+1)", "C3": '=DEFINE("H", C2, C1)',
+    }, spec_limit=5)
+    table = w.function_table
+    infos, names = table.items(), dict(table._name_to_id)
+    events = []
+    w.specializer.trace = events.append
+    fv = spec(w, '=SPECIALIZE(CLOSURE("H", 0))')
+    assert fv.target == table.lookup_name("H")
+    assert any(ev["event"] == "specialize" and ev["function"] == "G"
+               for ev in events)
+    assert table.items() == infos and table._name_to_id == names
+    assert not w.specializer.cache
 
 
 def test_budget_counts_residuals_per_function():

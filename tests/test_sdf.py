@@ -106,6 +106,19 @@ def test_inlining_off_same_values():
         assert a == b == Number((x + 1) * 2 - x)
 
 
+def test_a_body_reads_its_own_sheet(define):
+    # F!K1 names a cell of the body's own sheet, and the empty B9 reads 0.
+    w = define({
+        "B1": "0", "K1": "=B1+1",
+        "B2": '=F!K1*2+B9',
+        "B3": '=B9&"x"',
+        "B4": '=DEFINE("OWN", B2, B1)',
+        "B5": '=DEFINE("EMPTY", B3, B1)',
+    })
+    assert call(w, "OWN", 1) == Number(4.0)
+    assert call(w, "EMPTY", 1) == Text("0x")
+
+
 def test_output_may_be_an_input(define):
     w = define({"B1": "0", "B2": '=DEFINE("IDF", B1, B1)'})
     info = w.function_table.get(w.function_table.lookup_name("IDF"))
@@ -192,8 +205,25 @@ def test_closure_late_binding_across_redefine(define):
     assert w.eval_formula("=DOUBLE(7)", "S") == Number(21.0)
 
 
-def test_call_unknown_id_and_bad_arity(wb):
-    assert wb.function_table.call(9999, [], wb) is ERROR_NAME
+def test_call_unknown_id_and_bad_arity(define):
+    # A missing target is #NAME? and a wrong argument count #VALUE!: in
+    # the interpreter, in a compiled body and in a residual.
+    w = define({
+        "B1": "0", "B2": "=B1*10", "B3": '=DEFINE("ONE", B2, B1)',
+        "C1": "0", "C2": "=ONE(C1, 2)", "C3": '=DEFINE("BAD", C2, C1)',
+        "D1": "0", "D2": "=NOPE(D1)", "D3": '=DEFINE("UND", D2, D1)',
+    })
+    table = w.function_table
+    assert table.call(9999, [], w) is ERROR_NAME
+    assert table.call(table.lookup_name("ONE"), [Number(1.0)] * 2, w) \
+        is ERROR_VALUE
+    assert w.eval_formula("=ONE(1, 2)", "S") is ERROR_VALUE
+    assert w.eval_formula("=NOPE(1)", "S") is ERROR_NAME
+    for name, want in (("BAD", ERROR_VALUE), ("UND", ERROR_NAME)):
+        assert call(w, name, 1) is want
+        fv = w.eval_formula(f'=SPECIALIZE(CLOSURE("{name}", 1))', "S")
+        assert fv.target != table.lookup_name(name)
+        assert table.apply(fv, [], w) is want
 
 
 # --- definition errors -------------------------------------------------------
@@ -285,6 +315,21 @@ def test_guard_skips_poisonous_cell(define):
     assert any("guarded" in ln for ln in cell_lines(info))
     assert call(w, "GRD", -1) == Number(7.0)
     assert call(w, "GRD", 1) is ERROR_DIV0
+
+
+def test_guard_on_another_sheets_cell(define):
+    w = define({
+        "B1": "0",
+        "B3": "=B1*2",
+        "B4": "=IF(S!A1, B3+B3, 0)",
+        "B5": '=DEFINE("NR", B4, B1)',
+    })
+    info = w.function_table.get(w.function_table.lookup_name("NR"))
+    assert any("guarded" in ln for ln in cell_lines(info))
+    assert call(w, "NR", 5) == Number(0.0)
+    fill(w, "S", {"A1": "1"})
+    w.recalculate()
+    assert call(w, "NR", 5) == Number(20.0)
 
 
 def test_error_guard_suppresses_cell(define):

@@ -159,6 +159,16 @@ def test_value_equal():
     f2 = FunctionValue(3, "F", [Number(1.0), HOLE])
     assert f1 == f2
     assert not f1 == FunctionValue(3, "F", [Number(2.0), HOLE])
+    a1 = ArrayValue([[Number(1.0), Text("a")], [ERROR_NA, f1]])
+    a2 = ArrayValue([[Number(1.0), Text("a")], [ERROR_NA, f2]])
+    assert a1 == a2
+    assert not a1 == ArrayValue([[Number(1.0), Text("a")]])
+    # Equal values hash equal; an error is equal only to itself, as every
+    # error is interned.
+    for x, y in ((Number(1.0), Number(1.0)), (Text("a"), Text("a")),
+                 (ERROR_NA, ERROR_NA), (f1, f2), (a1, a2)):
+        assert hash(x) == hash(y)
+    assert not ERROR_NA == ERROR_DIV0
 
 
 def test_format_number():
@@ -166,6 +176,9 @@ def test_format_number():
     assert format_number(-17.0) == "-17"
     assert format_number(2.5) == "2.5"
     assert format_number(1e300) == "1e+300"
+    # A NaN reads as the error it encodes, and an untagged one as #NUM!.
+    assert format_number(error_nan(ERROR_DIV0)) == "#DIV/0!"
+    assert format_number(float("nan")) == "#NUM!"
 
 
 def test_display():
