@@ -17,9 +17,11 @@ one compiler for both modes, which differ only in how a branch, a 0/1
 result and an error are produced; every two-way branch has the same
 ``brf``/``brbad``/``jmp`` layout.  A cell's guard (``sdf.Guard``) goes
 through AND and OR's path compiler once, where a literal that reads
-false or anything but a number moves on to the next path.  A guard that
-is not trivial, and a guard atom (recognized by node identity before any
-other rule), is computed into a memo at its first site.
+false or anything but a number moves on to the next path.  Each literal
+but a parent guard's is compiled as the expression it tests
+(``literal_test``) by the ordinary rules.  A guard that is not trivial,
+and a guard atom (recognized by node identity before any other rule),
+is computed into a memo at its first site.
 
 The continuation generators are invoked at most once per site, so
 branches share code instead of duplicating it.  Compiling a constant
@@ -47,11 +49,11 @@ from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
     FunctionValue, Number, Text, choose_index, fconcat_values,
     format_number, from_double_or_nan, literal, make_number,
-    to_double_or_nan,
+    to_double_or_nan, unusable,
 )
 
 __all__ = ["CompiledFunction", "TailCall", "compile_function", "is_numeric",
-           "read_area", "UNSET"]
+           "literal_test", "read_area", "UNSET"]
 
 
 class _Unset:
@@ -496,6 +498,19 @@ def _and_or_paths(e):
     return (lits,) if type(e) is And else tuple((lit,) for lit in lits)
 
 
+def literal_test(lit, atom=None) -> Expr:
+    """The expression a guard literal other than ``cond`` tests (see
+    ``sdf.Guard``), on its atom or on ``atom`` in its place: the atom,
+    NOT(atom), or TRUNC(atom) = k.  The literal holds when it reads true."""
+    a = lit[1] if atom is None else atom
+    if lit[0] == "neg":
+        return Arith1("NOT", a)
+    if lit[0] == "sel":
+        return Comparison("=", FunctionCall("TRUNC", (a,)),
+                          Const(Number(float(lit[2]))))
+    return a
+
+
 def _paths(paths, cx: _Ctx, gen_t, gen_f, gen_bad=None):
     """Branch on whether some path holds, trying each path's literals (see
     ``sdf.Guard``) in turn.  A literal that reads false moves on to the
@@ -510,42 +525,27 @@ def _paths(paths, cx: _Ctx, gen_t, gen_f, gen_bad=None):
         def chain(j):
             if j == len(paths[i]):
                 return gen_t()
-            lit = paths[i][j]
-            t, f = lambda: chain(j + 1), fail
-            if lit[0] == "neg":
-                t, f = f, t
-            if lit[0] == "pos" or lit[0] == "neg":
-                return compile_to_condition(lit[1], cx, t, f, gen_bad or fail)
-            return _branch_on(_literal_double(lit, cx), cx, t, f,
-                              gen_bad or fail)
+            lit, t = paths[i][j], lambda: chain(j + 1)
+            if lit[0] == "cond":
+                return _branch_on(_literal_double(lit, cx), cx, t, fail,
+                                  gen_bad or fail)
+            return compile_to_condition(literal_test(lit), cx, t, fail,
+                                        gen_bad or fail)
         return chain(0)
     return path(0)
 
 
 def _literal_double(lit, cx: _Ctx):
-    """A guard literal as a double: the atom, its NOT, TRUNC(index) = k,
-    or a parent guard's memo, which holds its one literal's double or
-    else 1 when some path holds and 0 when none does."""
-    if lit[0] == "cond":
-        g = lit[1]
-        return _memo_step(g, cx, lambda: (
-            _literal_double(g[0][0], cx) if len(g) == 1 and len(g[0]) == 1
-            else _paths(g, cx, lambda: _const_double_step(cx, 1.0),
-                        lambda: _const_double_step(cx, 0.0))))
-    s = compile_to_double(lit[1], cx)
-    if lit[0] == "neg":
-        cx.emit("not")
-        f = UNARY_OPS["NOT"]
-        return lambda fr: f(s(fr))
-    if lit[0] == "sel":
-        trunc = cx.registry.get("TRUNC").dfunc
-        cx.emit("calld TRUNC 1")
-        cx.emit("nantest")
-        k = _const_double_step(cx, float(lit[2]))
-        cx.emit("cmp eq")
-        return _compare_double(lambda fr: trunc(fr.rt, s(fr)), k,
-                               COMPARE_OPS["="])
-    return s
+    """A guard literal as a double: its test's double, or a ``cond``
+    literal's guard memo, which holds its one literal's double or else
+    1 when some path holds and 0 when none does."""
+    if lit[0] != "cond":
+        return compile_to_double(literal_test(lit), cx)
+    g = lit[1]
+    return _memo_step(g, cx, lambda: (
+        _literal_double(g[0][0], cx) if len(g) == 1 and len(g[0]) == 1
+        else _paths(g, cx, lambda: _const_double_step(cx, 1.0),
+                    lambda: _const_double_step(cx, 0.0))))
 
 
 # --- value mode --------------------------------------------------------------
@@ -658,10 +658,8 @@ def _apply_value(e: Apply, cx: _Ctx, tail: bool):
 
     def step(fr):
         fv = sf(fr)
-        if type(fv) is ErrorValue:
-            return fv
         if type(fv) is not FunctionValue:
-            return ERROR_VALUE
+            return unusable(fv)
         argv = [s(fr) for s in sub]
         if tail:
             return fr.rt.function_table.tail_apply(fv, argv)

@@ -47,9 +47,8 @@ from .formula import (
 from .values import (
     BINARY_OPS, COMPARE_OPS, ERROR_CYCLE, ERROR_DIV0, ERROR_NA, ERROR_NUM,
     ERROR_REF, ERROR_VALUE, UNARY_OPS, ArrayValue, ErrorValue,
-    FunctionValue, Number, Text, Value, choose_index, error_nan,
-    fconcat_values, fdiv, from_double_or_nan, to_double_or_nan, truth,
-    value_key,
+    FunctionValue, Number, Text, Value, choose, error_nan, fconcat_values,
+    fdiv, from_double_or_nan, to_double_or_nan, truth, unusable, value_key,
 )
 
 __all__ = [
@@ -136,11 +135,6 @@ class Registry:
         return r
 
 
-def _unusable(v) -> Value:
-    """What an unusable argument gives: an error itself, else #VALUE!."""
-    return v if type(v) is ErrorValue else ERROR_VALUE
-
-
 def _numbers(args):
     """The doubles of ``args``, arrays flattened, or else what the first
     argument or array element that is not a number gives."""
@@ -148,7 +142,7 @@ def _numbers(args):
     for a in args:
         for x in (a if type(a) is ArrayValue else (a,)):
             if type(x) is not Number:
-                return _unusable(x)
+                return unusable(x)
             ds.append(x.value)
     return ds
 
@@ -272,7 +266,7 @@ def _concat_fn(args, rt):
 
 def _err_fn(args, rt):
     if type(args[0]) is not Text:
-        return _unusable(args[0])
+        return unusable(args[0])
     return ErrorValue.intern("#ERR:" + args[0].value)
 
 
@@ -288,7 +282,7 @@ def _now_fn(args, rt):
 def _specialize_fn(args, rt):
     fv = args[0]
     if type(fv) is not FunctionValue:
-        return _unusable(fv)
+        return unusable(fv)
     return rt.specializer.specialize(fv)
 
 
@@ -296,9 +290,9 @@ def _benchmark_fn(args, rt):
     from .cli import benchmark  # local import, cli sits above engine
     fv, count = args[0], args[1]
     if type(fv) is not FunctionValue or fv.arity != 0:
-        return _unusable(fv)
+        return unusable(fv)
     if type(count) is not Number or not 1 <= count.value < math.inf:
-        return _unusable(count)
+        return unusable(count)
     return Number(benchmark(rt, fv, int(count.value)))
 
 
@@ -866,12 +860,9 @@ def _compare(op: str, a: Value, b: Value) -> Value:
 
 
 def _eval_choose(e: Choose, at: CellAddr, wb: Workbook) -> Value:
-    d = to_double_or_nan(eval_expr(e.index, at, wb))
-    if d != d:
-        return from_double_or_nan(d)
-    k = choose_index(d, len(e.branches))
-    if k is None:
-        return ERROR_VALUE
+    k = choose(eval_expr(e.index, at, wb), len(e.branches))
+    if isinstance(k, Value):
+        return k
     return eval_expr(e.branches[k], at, wb)
 
 
@@ -936,9 +927,7 @@ def _eval_make_closure(e: MakeClosure, at: CellAddr, wb: Workbook) -> Value:
 def _eval_apply(e: Apply, at: CellAddr, wb: Workbook) -> Value:
     wb.note_function_use()
     fnv = eval_expr(e.fn, at, wb)
-    if type(fnv) is ErrorValue:
-        return fnv
     if type(fnv) is not FunctionValue:
-        return ERROR_VALUE
+        return unusable(fnv)
     argv = [eval_expr(a, at, wb) for a in e.args]
     return wb.function_table.apply(fnv, argv, wb)

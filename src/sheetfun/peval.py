@@ -26,15 +26,17 @@ rolled back and the original closure returned.
 
 A cell's evaluation condition, an ``sdf.Guard``, is reduced directly,
 literal by literal, with ``dyn`` turning true after the first dynamic
-one as in an AND or OR: a static literal that holds drops out of its
-path and one that fails kills the path.  A guard with no live path
-drops its cell before its formula is looked at, so the cell's calls are
-never specialized; one with a path that holds makes the cell
-unconditional.  Each condition-position node is reduced once per body
-and ``dyn``, so a guard atom costs one reduction for its cell's
-expression and every guard that reads it.  Residual bodies re-enter the
-normal pipeline (reachability, inlining, evaluation conditions, code
-generation).
+one as in an AND or OR.  A literal whose atom reduces to a ``Const`` is
+static, and holds when the interpreter reads its test
+(``codegen.literal_test``) on that constant as true; one that holds
+drops out of its path and one that fails kills the path.  A guard with
+no live path drops its cell before its formula is looked at, so the
+cell's calls are never specialized; one with a path that holds makes
+the cell unconditional.  Each condition-position node is reduced once
+per body and ``dyn``, so a guard atom costs one reduction for its
+cell's expression and every guard that reads it.  Residual bodies
+re-enter the normal pipeline (reachability, inlining, evaluation
+conditions, code generation).
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .formula import (
     walk, with_children,
 )
 from .values import (
-    ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE, Number, Value,
-    choose_index, display, from_double_or_nan, to_double_or_nan, truth,
+    ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE, Number, Value, choose,
+    display, from_double_or_nan, to_double_or_nan, truth, unusable,
     value_key,
 )
 
@@ -75,16 +77,6 @@ _RIGHT_UNIT = {op: value_key(Number(d))
 
 def _key(addr) -> tuple:
     return (addr.col, addr.row)
-
-
-def _holds(lit, r: Expr) -> bool | None:
-    """Whether a guard literal holds on its atom's reduction ``r`` (None
-    when that is dynamic); a value that is not a number fails it."""
-    if type(r) is not Const:
-        return None
-    if lit[0] == "sel":     # TRUNC(index) = k
-        return choose_index(to_double_or_nan(r.value), lit[2]) == lit[2] - 1
-    return truth(r.value) is (lit[0] == "pos")
 
 
 def _pattern_text(pattern) -> str:
@@ -359,6 +351,15 @@ class Specializer:
             memo[key] = self._pe(e, env, dyn)
         return memo[key]
 
+    def _holds(self, lit, r: Expr) -> bool | None:
+        """Whether a guard literal holds on its atom's reduction ``r``: the
+        interpreter reads its test (``codegen.literal_test``) on ``r`` as
+        true.  None when ``r`` is dynamic."""
+        if type(r) is not Const:
+            return None
+        test = codegen.literal_test(lit, r)
+        return truth(engine.eval_expr(test, None, self.wb)) is True
+
     def _pe_guard(self, g, env, dyn):
         """Reduce a guard: True when a path statically holds, False when
         none can, None when that depends on the dynamic inputs."""
@@ -370,7 +371,7 @@ class Specializer:
                 static = True
                 for lit in path:
                     s = (self._pe_guard(lit[1], env, dyn) if lit[0] == "cond"
-                         else _holds(lit, self._atom(lit[1], env, dyn)))
+                         else self._holds(lit, self._atom(lit[1], env, dyn)))
                     if s is False:
                         break
                     if s is None:
@@ -394,12 +395,9 @@ class Specializer:
     def _pe_choose(self, e: Choose, env, dyn):
         c = self._atom(e.index, env, dyn)
         if type(c) is Const:
-            d = to_double_or_nan(c.value)
-            if d != d:
-                return Const(from_double_or_nan(d))
-            k = choose_index(d, len(e.branches))
-            if k is None:
-                return Const(ERROR_VALUE)
+            k = choose(c.value, len(e.branches))
+            if isinstance(k, Value):
+                return Const(k)
             return self._pe(e.branches[k], env, dyn)
         return Choose(c, tuple(self._pe(b, env, True)
                                for b in e.branches))
@@ -434,10 +432,8 @@ class Specializer:
         reduced = [self._pe(a, env, dyn) for a in e.args]
         if type(f) is Const:
             fv = f.value
-            if type(fv) is ErrorValue:
-                return f
             if type(fv) is not FunctionValue:
-                return Const(ERROR_VALUE)
+                return Const(unusable(fv))
             merged = self.wb.function_table.merge_args(fv, reduced)
             if merged is None:
                 return Const(ERROR_VALUE)

@@ -40,8 +40,8 @@ from .formula import (
     map_children, walk,
 )
 from .values import (
-    ERROR_NA, ERROR_NAME, ERROR_VALUE, ErrorValue, FunctionValue, HOLE,
-    Number, Text, Value,
+    ERROR_NA, ERROR_NAME, ERROR_VALUE, FunctionValue, HOLE, Number, Text,
+    Value, unusable,
 )
 
 __all__ = ["Guard", "ComputeCell", "SdfInfo", "FunctionTable", "DefineError",
@@ -56,11 +56,13 @@ class Guard(tuple):
     """An evaluation condition, the tuple of its paths: its cell runs when
     some path holds.
 
-    A path is a tuple of literals that must all hold: ``("pos", atom)`` or
-    ``("neg", atom)``, the atom reads true or false; ``("sel", atom, k)``,
-    the CHOOSE index atom selects branch k; ``("cond", guard)``, the guard
-    of a referencing cell holds.  Atoms are nodes of the body.  A literal
-    that reads anything but a number fails its own path only.
+    A path is a tuple of literals that must all hold.  A literal other
+    than ``("cond", guard)``, which holds when the guard of a referencing
+    cell does, is the expression it tests (``codegen.literal_test``) and
+    holds when that reads true: ``("pos", atom)`` the atom, ``("neg",
+    atom)`` NOT(atom), ``("sel", atom, k)`` TRUNC(atom) = k, the CHOOSE
+    index atom selecting branch k.  Atoms are nodes of the body.  A
+    literal that reads anything but a number fails its own path only.
     """
 
     __slots__ = ()
@@ -209,9 +211,7 @@ class FunctionTable:
             if merged is None:
                 return ERROR_VALUE
             return FunctionValue(fnv.target, fnv.name, merged)
-        if type(fnv) is ErrorValue:
-            return fnv
-        return ERROR_VALUE
+        return unusable(fnv)
 
     def merge_args(self, fv: FunctionValue, argv: list) -> list | None:
         if len(argv) != fv.arity:
@@ -308,11 +308,11 @@ def _local_refs(e: Expr):
             yield (n.addr.col, n.addr.row)
 
 
-def build_body(load, out_key, input_keys: set, inline: bool = True):
+def build_body(load, out_key, input_keys: set):
     """Assemble the ComputeCell list for a function body.
 
     ``load(key)`` supplies the resolved formula of a local cell.  Raises
-    DefineError on static cycles.  ``inline`` disables step 3 for tests.
+    DefineError on static cycles.
     """
     if out_key in input_keys:
         addr = CellAddr(None, *out_key)
@@ -344,10 +344,7 @@ def build_body(load, out_key, input_keys: set, inline: bool = True):
         order.append(key)
 
     visit(out_key)
-
-    if inline:
-        _inline_single_use(cellmap, order, out_key, input_keys)
-
+    _inline_single_use(cellmap, order, out_key, input_keys)
     return _attach_conditions(cellmap, order, out_key)
 
 

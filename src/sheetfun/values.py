@@ -5,9 +5,10 @@ ArrayValue or FunctionValue.  Values are immutable and compared
 structurally.
 
 The scalar operators are defined here once, in ``BINARY_OPS``,
-``COMPARE_OPS``, ``UNARY_OPS``, ``truth`` and ``choose_index``; the
-interpreter, compiled code and the specializer's folds all take them
-from here, so their results agree bit for bit by construction.
+``COMPARE_OPS``, ``UNARY_OPS``, ``truth``, ``choose``/``choose_index``
+and ``unusable``; the interpreter, compiled code and the specializer's
+folds all take them from here, so their results agree bit for bit by
+construction.
 ``value_key`` is the one definition of two values being the same, bit
 for bit; the specializer's cache and recalculation's cutoff use it.
 
@@ -31,7 +32,8 @@ __all__ = [
     "to_double_or_nan", "from_double_or_nan", "error_nan",
     "display", "literal", "format_number", "value_key",
     "fdiv", "fpow", "fneg", "fnot", "fconcat_values",
-    "BINARY_OPS", "COMPARE_OPS", "UNARY_OPS", "truth", "choose_index",
+    "BINARY_OPS", "COMPARE_OPS", "UNARY_OPS", "truth", "choose",
+    "choose_index", "unusable",
     "ERROR_NA", "ERROR_DIV0", "ERROR_VALUE", "ERROR_NUM", "ERROR_NAME",
     "ERROR_REF", "ERROR_CYCLE",
 ]
@@ -429,6 +431,24 @@ def choose_index(d: float, n: int) -> int | None:
     return k - 1 if 1 <= k <= n else None
 
 
+def choose(v: Value, n: int):
+    """The 0-based branch selector ``v`` picks among ``n`` CHOOSE
+    branches, or the error Value: its own error, or #VALUE! when it is
+    not a number or out of range."""
+    d = to_double_or_nan(v)
+    if d != d:
+        return from_double_or_nan(d)
+    k = choose_index(d, n)
+    return ERROR_VALUE if k is None else k
+
+
+def unusable(v: Value) -> Value:
+    """What a value gives where it cannot be used (an argument of the
+    wrong type, or the target of APPLY or CLOSURE that is not a
+    function): an error itself, anything else #VALUE!."""
+    return v if type(v) is ErrorValue else ERROR_VALUE
+
+
 def fconcat_values(a: Value, b: Value) -> Value:
     """The & operator: text concatenation with number formatting."""
     sa = _concat_text(a)
@@ -446,6 +466,4 @@ def _concat_text(v: Value):
         return v.value
     if t is Number:
         return format_number(v.value)
-    if t is ErrorValue:
-        return v
-    return ERROR_VALUE
+    return unusable(v)

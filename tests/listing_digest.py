@@ -8,8 +8,10 @@ slice, skipping the ``deep_chain`` ops.  For each workload it prints the
 first 16 hex digits of a sha256 over every listing that
 ``codegen.compile_function`` returns, in compilation order, the number
 of compilations, and the first 16 hex digits of the op digest (every
-op's kind, check and shown output).  A change that must not move code
-generation keeps all three equal.  pytest does not collect this file.
+op's kind, check and shown output), and exits 1 naming each workload
+whose line differs from ``EXPECTED``.  A change that moves a listing or
+an op's outcome updates its line there and says why.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from run import Result  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ROUNDS = 3
+
+EXPECTED = {
+    "sheet": "listings 35254d2b0313af24/42 ops ede011e50ff19167",
+    "calls": "listings bb327e1e56701f6a/120 ops c0a2fec95166ed07",
+    "specialize": "listings 6291d5e67e0bf44b/309 ops ef5324e499260b0e",
+}
 
 
 def digest(name: str, seed: int = 1) -> tuple[str, int, str]:
@@ -57,10 +65,16 @@ def digest(name: str, seed: int = 1) -> tuple[str, int, str]:
 
 
 def main(argv: list[str]) -> int:
-    for name in argv or ["sheet", "calls", "specialize"]:
+    differ = []
+    for name in argv or list(EXPECTED):
         listing, count, ops = digest(name)
-        print(f"{name}: listings {listing}/{count} ops {ops}")
-    return 0
+        line = f"listings {listing}/{count} ops {ops}"
+        print(f"{name}: {line}")
+        if line != EXPECTED[name]:
+            differ.append(name)
+    if differ:
+        print(f"differs from the recorded line: {', '.join(differ)}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -861,6 +861,35 @@ def test_long_cycle_ends_with_cycle_errors(n):
                for i in range(1, n + 1))
 
 
+def test_deep_chain_retry_ended_by_an_exception_leaves_no_cell_in_flight():
+    # The builtin at the foot raises once the chain is deep enough that
+    # cells wait for a retry; they must leave the in-flight set with it,
+    # or a later recalculation reads them as #CYCLE!.
+    armed = [True]
+
+    def boom(args, rt):
+        if armed[0]:
+            raise RuntimeError("armed")
+        return args[0]
+
+    reg = default_registry().clone()
+    reg.register(Builtin("BOOM", 1, 1, boom))
+    w = Workbook(registry=reg)
+    w.add_sheet("S")
+    n = 2000
+    for i in range(1, n):
+        w.set_cell(CellAddr("S", 1, i), f"=A{i + 1}+1")
+    w.set_cell(CellAddr("S", 1, n), "=BOOM(1)")
+    with pytest.raises(RuntimeError):
+        w.recalculate()
+    armed[0] = False
+    w.set_cell(CellAddr("S", 1, n), "=BOOM(1)")
+    w.recalculate()
+    assert w.get_value(CellAddr("S", 1, 1)) == Number(float(n))
+    assert not any(w.get_value(CellAddr("S", 1, i)) is ERROR_CYCLE
+                   for i in range(1, n + 1))
+
+
 def test_deep_chain_of_nested_formulas():
     # Each cell costs several Python frames; no fixed count of nested
     # cells would fit them all on the stack.

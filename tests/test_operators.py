@@ -42,17 +42,25 @@ def same(a, b) -> bool:
     return a == b
 
 
-def three_paths(body: str, operands, make_node):
-    """Results of the interpreter, the compiled function with every
-    argument dynamic, and an all-static SPECIALIZE, per operand tuple."""
-    ins = [f"B{i + 1}" for i in range(len(operands[0]))]
-    out = f"B{len(ins) + 1}"
+def define_f(body: str, n_args: int, extra=None):
+    """A workbook whose function F reads B1..Bn, gives ``body`` in the
+    cell after them and has ``extra`` body cells ({address: formula});
+    returns it and F's id."""
+    ins = [f"B{i + 1}" for i in range(n_args)]
+    out = f"B{n_args + 1}"
     cells = {a: "0" for a in ins}
     cells[out] = body
-    cells[f"B{len(ins) + 2}"] = f'=DEFINE("F", {out}, {", ".join(ins)})'
+    cells.update(extra or {})
+    cells[f"B{n_args + 2}"] = f'=DEFINE("F", {out}, {", ".join(ins)})'
     w = make_wb(cells)
+    return w, w.function_table.lookup_name("F")
+
+
+def three_paths(body: str, operands, make_node, extra=None):
+    """Results of the interpreter, the compiled function with every
+    argument dynamic, and an all-static SPECIALIZE, per operand tuple."""
+    w, target = define_f(body, len(operands[0]), extra)
     table = w.function_table
-    target = table.lookup_name("F")
     at = CellAddr("S", 1, 1)
     for args in operands:
         interp = eval_expr(make_node(*[Const(a) for a in args]), at, w)
@@ -63,10 +71,10 @@ def three_paths(body: str, operands, make_node):
         yield args, interp, compiled, static
 
 
-def mismatches(body, operands, make_node):
+def mismatches(body, operands, make_node, extra=None):
     return [(args, interp, compiled, static)
             for args, interp, compiled, static
-            in three_paths(body, operands, make_node)
+            in three_paths(body, operands, make_node, extra)
             if not (same(interp, compiled) and same(interp, static))]
 
 
@@ -171,6 +179,42 @@ def test_choose_index_agrees_on_every_path():
     branches = tuple(Const(Number(float(10 * k))) for k in (1, 2, 3))
     bad = mismatches("=CHOOSE(B1, 10, 20, 30)", [(a,) for a in POOL],
                      lambda i: Choose(i, branches))
+    assert not bad, bad[:5]
+
+
+# C1 is read twice under a condition on B1, so it is not inlined and runs
+# under a guard: CHOOSE's branches give it ``sel`` literals, IF's other
+# branch and OR's second argument ``neg``, AND's second argument ``pos``.
+# A guard that says no where the formula reads C1 raises in compiled code
+# (an unevaluated slot) and in the specializer (an unavailable cell).
+C1 = {"C1": "=B1*2"}
+N = {k: Const(Number(float(k))) for k in (0, 1, 2, 5, 7)}
+
+
+def _twice(c):
+    return Arith2("+", c, c)
+
+
+GUARDED = [
+    ("=CHOOSE(B1, C1+C1, 7, C1-1)",
+     lambda b, c: Choose(b, (_twice(c), N[7], Arith2("-", c, N[1])))),
+    ("=CHOOSE(B1, 7, C1+C1)", lambda b, c: Choose(b, (N[7], _twice(c)))),
+    ("=IF(B1, 5, C1+C1)", lambda b, c: If(b, N[5], _twice(c))),
+    ("=OR(B1, C1+C1>0)",
+     lambda b, c: Or((b, Comparison(">", _twice(c), N[0])))),
+    ("=AND(B1, C1+C1>0)",
+     lambda b, c: And((b, Comparison(">", _twice(c), N[0])))),
+]
+
+
+@pytest.mark.parametrize("body, make_node", GUARDED,
+                         ids=[body for body, _ in GUARDED])
+def test_guard_literal_agrees_on_every_path(body, make_node):
+    w, target = define_f(body, 1, C1)
+    assert any(cell.eval_cond is not None
+               for cell in w.function_table.get(target).body)
+    bad = mismatches(body, [(a,) for a in POOL],
+                     lambda b: make_node(b, Arith2("*", b, N[2])), C1)
     assert not bad, bad[:5]
 
 
